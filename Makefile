@@ -1,4 +1,4 @@
-.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count bench-serve model-check model-check-smoke ci clean
+.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count bench-serve perf-selftest model-check model-check-smoke ci clean
 
 all: build
 
@@ -79,8 +79,14 @@ bench-smoke:
 bench-check:
 	dune exec tools/bench_check.exe -- --baseline tools/baselines --fresh .
 
+# the perf ledger's own self-test at smoke size (about a minute): every
+# workload passes its from-scratch oracle check and reports exactly the
+# metrics BENCHMARK.json declares, and a perturbed oracle fails the run
+perf-selftest:
+	python3 perfbench/selftest.py
+
 # what .github/workflows/ci.yml runs per compiler
-ci: build test analyze bench-smoke bench-check
+ci: build test analyze bench-smoke bench-check perf-selftest
 
 clean:
 	dune clean

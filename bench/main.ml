@@ -10,11 +10,7 @@
              rescue datalog datalog-smoke maintain-par maintain-par-smoke
              maintain-shard maintain-shard-smoke maintain-count
              maintain-count-smoke serve serve-smoke ablation parallel
-             dispatch dispatch-smoke stream micro
-
-   [--legacy-executor] restricts the dispatch sections to the retained
-   big-lock baseline (and implies the dispatch section when no section
-   is named). *)
+             dispatch dispatch-smoke stream micro *)
 
 let procs = Workload.Paper_traces.processors
 
@@ -308,9 +304,9 @@ let rescue () =
    computations. Throughput is job tuples per second — derived tuples
    for materialization, net changed tuples for maintenance — so the
    compiled/interpreted speedup equals the wall-time ratio on the same
-   job. A final row composes the compiled engine with the low-contention
-   parallel executor over a [To_trace]-derived update, against the
-   interpreter + big-lock legacy executor baseline. *)
+   job. A final row runs a [To_trace]-derived update end to end —
+   maintenance plus parallel execution of the revealed DAG on the
+   executor — once per engine. *)
 
 type dlrow = {
   dl_program : string;
@@ -445,7 +441,7 @@ let dl_end_to_end ~smoke =
     [ Datalog.Parser.parse_atom (List.hd base); Datalog.Parser.parse_atom (List.nth base 1) ]
   in
   let sched = Sched.Registry.find_exn "levelbased" in
-  let run engine legacy =
+  let run engine =
     let db = Datalog.Database.create () in
     ignore (Datalog.Eval.run ~engine db program);
     let t0 = Unix.gettimeofday () in
@@ -453,21 +449,18 @@ let dl_end_to_end ~smoke =
     let maint = Unix.gettimeofday () -. t0 in
     let trace = tt.Datalog.To_trace.trace in
     let domains = 4 in
-    let r =
-      if legacy then Parallel.Legacy.run ~domains ~work_unit:1e-6 ~sched trace
-      else Parallel.Executor.run ~domains ~work_unit:1e-6 ~batch:256 ~sched trace
-    in
+    let r = Parallel.Executor.run ~domains ~work_unit:1e-6 ~batch:256 ~sched trace in
     (maint, r.Parallel.Executor.wall_makespan, r.Parallel.Executor.tasks_executed)
   in
-  let im, iw, _ = run Datalog.Plan.Interpreted true in
-  let cm, cw, tasks = run Datalog.Plan.Compiled false in
+  let im, iw, _ = run Datalog.Plan.Interpreted in
+  let cm, cw, tasks = run Datalog.Plan.Compiled in
   let interp_total = im +. iw and comp_total = cm +. cw in
   Format.printf
     "@.end-to-end (tc-neg update, maintenance + parallel execution of the revealed DAG, %d tasks):@."
     tasks;
-  Format.printf "  interpreter + legacy executor : %.4f s  (maintain %.4f + execute %.4f)@."
+  Format.printf "  interpreter + executor : %.4f s  (maintain %.4f + execute %.4f)@."
     interp_total im iw;
-  Format.printf "  compiled    + new executor    : %.4f s  (maintain %.4f + execute %.4f)@."
+  Format.printf "  compiled    + executor : %.4f s  (maintain %.4f + execute %.4f)@."
     comp_total cm cw;
   Format.printf "  composed speedup: %.2fx@." (interp_total /. Float.max comp_total 1e-9);
   (interp_total, comp_total, tasks)
@@ -492,7 +485,7 @@ let datalog_json rows headline end_to_end path =
     Buffer.add_string b
       (Printf.sprintf
          "  \"end_to_end\": {\"program\": \"tc-neg\", \"tasks\": %d, \
-          \"interpreted_plus_legacy_s\": %.6f, \"compiled_plus_executor_s\": %.6f, \
+          \"interpreted_plus_executor_s\": %.6f, \"compiled_plus_executor_s\": %.6f, \
           \"speedup\": %.3f},\n"
          tasks interp_total comp_total (interp_total /. Float.max comp_total 1e-9))
   | None -> ());
@@ -1562,24 +1555,18 @@ let parallel () =
      lock, and the schedule validates against the Section II model.)@."
 
 (* ---------------------------------------------------------------- *)
-(* Dispatch throughput: low-contention executor vs big-lock baseline *)
+(* Dispatch throughput of the low-contention executor                *)
 (* ---------------------------------------------------------------- *)
 
 (* Scheduler-throughput benchmark for the multicore executor rebuild.
    Zero-work tasks ([work_unit = 0]) make the measurement pure
    dispatch: status CAS traffic, ready-buffer refills, batched
-   completion delivery, and the scheduler critical sections. Both
-   executors run the same LevelBased scheduler and measure
-   [wall_makespan] from the same post-spawn barrier epoch, so the
-   difference is executor protocol alone. The seed's big-lock executor
-   is retained as [Parallel.Legacy] — pass [--legacy-executor] to run
-   only that baseline. *)
-
-let legacy_only = ref false
+   completion delivery, and the scheduler critical sections, under the
+   LevelBased scheduler; [wall_makespan] runs from the post-spawn
+   barrier epoch. *)
 
 type drow = {
   d_trace : string;
-  d_exec : string;
   d_domains : int;
   d_tasks : int;
   d_makespan : float;
@@ -1603,51 +1590,38 @@ let dispatch_traces ~smoke =
       ("pathological-broom", true, Workload.Pathological.broom ~spine:20_000 ~fan:20_000);
     ]
 
-let dispatch_run ~legacy ~domains ~reps trace =
+let dispatch_run ~domains ~reps trace =
   let sched = Sched.Registry.find_exn "levelbased" in
   let best = ref None in
   for _ = 1 to reps do
-    let r =
-      if legacy then Parallel.Legacy.run ~domains ~work_unit:0.0 ~sched trace
-      else Parallel.Executor.run ~domains ~work_unit:0.0 ~batch:256 ~sched trace
-    in
+    let r = Parallel.Executor.run ~domains ~work_unit:0.0 ~batch:256 ~sched trace in
     match !best with
     | Some b when b.Parallel.Executor.wall_makespan <= r.Parallel.Executor.wall_makespan -> ()
     | _ -> best := Some r
   done;
   Option.get !best
 
-let dispatch_json rows headline sched_overhead path =
+let dispatch_json rows (tname, domains, measured, ops, modeled, util) path =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"dispatch\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"host_cores\": %d,\n  \"work_unit\": 0.0,\n  \"batch\": 256,\n"
        (Domain.recommended_domain_count ()));
-  (match sched_overhead with
-  | Some (tname, domains, measured, ops, modeled, util) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"sched_overhead\": {\"trace\": \"%s\", \"domains\": %d, \
-          \"measured_sched_s\": %.6f, \"ops\": %d, \"modeled_s\": %.6f, \
-          \"measured_over_modeled\": %.3f, \"utilization\": %.4f},\n"
-         tname domains measured ops modeled
-         (measured /. Float.max modeled 1e-12)
-         util)
-  | None -> ());
-  (match headline with
-  | Some (l, n) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"headline\": {\"trace\": \"%s\", \"domains\": 8, \"legacy_tasks_per_sec\": %.0f, \"new_tasks_per_sec\": %.0f, \"speedup\": %.3f},\n"
-         l.d_trace l.d_rate n.d_rate (n.d_rate /. l.d_rate))
-  | None -> ());
+  Buffer.add_string b
+    (Printf.sprintf
+       "  \"sched_overhead\": {\"trace\": \"%s\", \"domains\": %d, \
+        \"measured_sched_s\": %.6f, \"ops\": %d, \"modeled_s\": %.6f, \
+        \"measured_over_modeled\": %.3f, \"utilization\": %.4f},\n"
+       tname domains measured ops modeled
+       (measured /. Float.max modeled 1e-12)
+       util);
   Buffer.add_string b "  \"rows\": [\n";
   List.iteri
     (fun i r ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"trace\": \"%s\", \"executor\": \"%s\", \"domains\": %d, \"tasks\": %d, \"wall_makespan_s\": %.6f, \"tasks_per_sec\": %.0f}%s\n"
-           r.d_trace r.d_exec r.d_domains r.d_tasks r.d_makespan r.d_rate
+           "    {\"trace\": \"%s\", \"domains\": %d, \"tasks\": %d, \"wall_makespan_s\": %.6f, \"tasks_per_sec\": %.0f}%s\n"
+           r.d_trace r.d_domains r.d_tasks r.d_makespan r.d_rate
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string b "  ]\n}\n";
@@ -1657,97 +1631,74 @@ let dispatch_json rows headline sched_overhead path =
   Format.printf "@.wrote %s@." path
 
 let dispatch_core ~smoke () =
-  banner "Dispatch throughput: Executor vs big-lock Legacy (work_unit = 0)";
+  banner "Dispatch throughput: Executor (work_unit = 0)";
   Format.printf "host exposes %d core(s); best of several reps per cell@.@."
     (Domain.recommended_domain_count ());
   let traces = dispatch_traces ~smoke in
   let domain_counts = [ 1; 2; 4; 8 ] in
-  let execs = if !legacy_only then [ ("legacy", true) ] else [ ("legacy", true); ("new", false) ] in
   let rows = ref [] in
-  Format.printf "%-20s %-7s %8s %10s %14s %12s@." "trace" "exec" "domains"
-    "tasks" "makespan s" "tasks/s";
+  Format.printf "%-20s %8s %10s %14s %12s@." "trace" "domains" "tasks" "makespan s"
+    "tasks/s";
   List.iter
     (fun (tname, full_check, trace) ->
       List.iter
-        (fun (ename, legacy) ->
-          List.iter
-            (fun domains ->
-              (* best-of-7: on a shared host a single rep can land on a
-                 descheduled interval; the max is the stable statistic *)
-              let reps = if smoke then 2 else 7 in
-              let r = dispatch_run ~legacy ~domains ~reps trace in
-              let tasks = r.Parallel.Executor.tasks_executed in
-              if tasks <> r.Parallel.Executor.tasks_activated then
-                Format.printf "  COUNT MISMATCH: %d executed, %d activated@." tasks
-                  r.Parallel.Executor.tasks_activated;
-              (* wide paper trace: full check once, on the headline
-                 configuration, below; everything else every time *)
-              if full_check then (
-                match Parallel.Executor.check trace r with
-                | Ok () -> ()
-                | Error e -> Format.printf "  INVALID (%s d=%d): %s@." ename domains e);
-              let m = r.Parallel.Executor.wall_makespan in
-              let rate = float_of_int tasks /. Float.max m 1e-9 in
-              rows :=
-                { d_trace = tname; d_exec = ename; d_domains = domains;
-                  d_tasks = tasks; d_makespan = m; d_rate = rate }
-                :: !rows;
-              Format.printf "%-20s %-7s %8d %10d %14.6f %12.0f@." tname ename
-                domains tasks m rate)
-            domain_counts)
-        execs)
+        (fun domains ->
+          (* best-of-7: on a shared host a single rep can land on a
+             descheduled interval; the max is the stable statistic *)
+          let reps = if smoke then 2 else 7 in
+          let r = dispatch_run ~domains ~reps trace in
+          let tasks = r.Parallel.Executor.tasks_executed in
+          if tasks <> r.Parallel.Executor.tasks_activated then
+            Format.printf "  COUNT MISMATCH: %d executed, %d activated@." tasks
+              r.Parallel.Executor.tasks_activated;
+          (* wide paper trace: full check once, on the 8-domain
+             configuration, below; everything else every time *)
+          if full_check then (
+            match Parallel.Executor.check trace r with
+            | Ok () -> ()
+            | Error e -> Format.printf "  INVALID (d=%d): %s@." domains e);
+          let m = r.Parallel.Executor.wall_makespan in
+          let rate = float_of_int tasks /. Float.max m 1e-9 in
+          rows :=
+            { d_trace = tname; d_domains = domains; d_tasks = tasks; d_makespan = m;
+              d_rate = rate }
+            :: !rows;
+          Format.printf "%-20s %8d %10d %14.6f %12.0f@." tname domains tasks m rate)
+        domain_counts)
     traces;
   let rows = List.rev !rows in
-  (* full check of the headline configuration on the wide trace *)
-  (if not smoke && not !legacy_only then
+  (* full check of the 8-domain configuration on the wide trace *)
+  (if not smoke then
      let _, _, trace = List.find (fun (n, _, _) -> n = "wide-paper11") traces in
-     let r = dispatch_run ~legacy:false ~domains:8 ~reps:1 trace in
+     let r = dispatch_run ~domains:8 ~reps:1 trace in
      match Parallel.Executor.check trace r with
-     | Ok () -> Format.printf "@.Executor.check (wide, new, d=8): OK@."
-     | Error e -> Format.printf "@.Executor.check (wide, new, d=8): INVALID: %s@." e);
-  let find t e d =
-    List.find_opt (fun r -> r.d_trace = t && r.d_exec = e && r.d_domains = d) rows
-  in
+     | Ok () -> Format.printf "@.Executor.check (wide, d=8): OK@."
+     | Error e -> Format.printf "@.Executor.check (wide, d=8): INVALID: %s@." e);
   let wide_name = if smoke then "wide" else "wide-paper11" in
-  let headline =
-    match (find wide_name "legacy" 8, find wide_name "new" 8) with
-    | Some l, Some n ->
-      Format.printf
-        "@.headline: wide trace, 8 domains — legacy %.0f tasks/s, new %.0f tasks/s: %.2fx@."
-        l.d_rate n.d_rate (n.d_rate /. l.d_rate);
-      Some (l, n)
-    | _ -> None
-  in
-  ignore headline;
   (* traced rerun on the wide trace: measured scheduler-lock seconds
      (wait + hold, from the ring timeline) against the paper's abstract
      op-count model at the default 1e-7 s/op — the quantity Tables
      II/III call "overhead", finally measured instead of charged *)
   let sched_overhead =
-    if !legacy_only then None
-    else begin
-      let _, _, trace = List.find (fun (n, _, _) -> n = wide_name) traces in
-      let domains = 8 in
-      let obs = Obs.Trace.create ~domains () in
-      let sched = Sched.Registry.find_exn "levelbased" in
-      let r =
-        Parallel.Executor.run ~domains ~work_unit:0.0 ~batch:256 ~obs ~sched trace
-      in
-      let s = Obs.Summary.of_trace obs in
-      let ops = Sched.Intf.total_ops r.Parallel.Executor.ops in
-      let measured = Obs.Summary.sched_overhead_s s in
-      let modeled = float_of_int ops *. 1e-7 in
-      Format.printf
-        "@.scheduler overhead (wide, new, d=%d, traced): measured %.6f s over \
-         %d ops; op-count model at 1e-7 s/op: %.6f s (measured/modeled %.2fx); \
-         utilization %.1f%%@."
-        domains measured ops modeled
-        (measured /. Float.max modeled 1e-12)
-        (100.0 *. s.Obs.Summary.utilization);
-      Some (wide_name, domains, measured, ops, modeled, s.Obs.Summary.utilization)
-    end
+    let _, _, trace = List.find (fun (n, _, _) -> n = wide_name) traces in
+    let domains = 8 in
+    let obs = Obs.Trace.create ~domains () in
+    let sched = Sched.Registry.find_exn "levelbased" in
+    let r = Parallel.Executor.run ~domains ~work_unit:0.0 ~batch:256 ~obs ~sched trace in
+    let s = Obs.Summary.of_trace obs in
+    let ops = Sched.Intf.total_ops r.Parallel.Executor.ops in
+    let measured = Obs.Summary.sched_overhead_s s in
+    let modeled = float_of_int ops *. 1e-7 in
+    Format.printf
+      "@.scheduler overhead (wide, d=%d, traced): measured %.6f s over %d ops; \
+       op-count model at 1e-7 s/op: %.6f s (measured/modeled %.2fx); \
+       utilization %.1f%%@."
+      domains measured ops modeled
+      (measured /. Float.max modeled 1e-12)
+      (100.0 *. s.Obs.Summary.utilization);
+    (wide_name, domains, measured, ops, modeled, s.Obs.Summary.utilization)
   in
-  dispatch_json rows headline sched_overhead
+  dispatch_json rows sched_overhead
     (if smoke then "BENCH_executor_smoke.json" else "BENCH_executor.json")
 
 let dispatch () = dispatch_core ~smoke:false ()
@@ -1944,10 +1895,7 @@ let sections =
 let () =
   let requested =
     match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as args) ->
-      let flags, names = List.partition (fun a -> a = "--legacy-executor") args in
-      if flags <> [] then legacy_only := true;
-      if names = [] then [ "dispatch" ] else names
+    | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst sections
   in
   List.iter

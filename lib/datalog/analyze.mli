@@ -58,7 +58,7 @@ type comp_info = {
           and every member head (write side) *)
   shardable : bool;
       (** every member has arity >= 1, so the column-0 hash partitioning
-          of {!Relation.Sharded} applies *)
+          of {!Relation.shard_of_tuple} applies *)
   level_index : bool;
       (** the counting engine's well-founded support index (per-tuple
           first-derivation [level] plus strictly-lower-witness [low]

@@ -82,14 +82,7 @@ type maint = Dred | Counting | Auto
 
 let default_warn msg = Printf.eprintf "warning: %s\n%!" msg
 
-(* Resolve the per-component strategies. Counting composes with
-   sharded phase rounds since the count/level side tables shard the
-   same way the tuple stores do (per-shard signed-delta buffers,
-   merged in shard order); no downgrade is needed for [shards > 1]
-   anymore. The interpretive engine still cannot serve counting (no
-   split-view or witness mode) — that combination is rejected up
-   front by [check_maint_engine]. *)
-let resolve_strategies ~engine ~shards:_ ~on_warn:_ anal program maint =
+let resolve_strategies ~engine anal program maint =
   let n = anal.Stratify.condensation.Dag.Scc.count in
   match maint with
   | Dred -> Array.make n Analyze.Dred
@@ -125,11 +118,10 @@ type ctx = {
   new_view : Matcher.view;
 }
 
-let make_ctx ?(shards = 1) ?(sanitize = false) ?(on_warn = default_warn) ~engine
-    ~maint db program =
+let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db program =
   Aggregate.validate program;
   let anal = Stratify.analyze program in
-  let strategy = resolve_strategies ~engine ~shards ~on_warn anal program maint in
+  let strategy = resolve_strategies ~engine anal program maint in
   Matcher.register db program;
   let symbols = Database.symbols db in
   let card pred =
@@ -236,7 +228,7 @@ let prepare_deltas ctx =
 type prepared_rule = {
   rule : Ast.rule;
   ex : Plan.exec;
-  flipped : (int * Ast.rule * Plan.exec) list;  (* keyed by negated body position *)
+  flipped : (int * Plan.exec) list;  (* keyed by negated body position *)
 }
 
 (* [Rules] holds one independently compiled plan set per shard task
@@ -288,9 +280,7 @@ let prepare_comp ?(shards = 1) ctx comp =
               List.mapi (fun i lit -> (i, lit)) r.Ast.body
               |> List.filter_map (fun (i, lit) ->
                      match lit with
-                     | Ast.Neg _ ->
-                       let fr = flip_negation r i in
-                       Some (i, fr, ctx.make_exec fr)
+                     | Ast.Neg _ -> Some (i, ctx.make_exec (flip_negation r i))
                      | Ast.Pos _ | Ast.Cmp _ -> None)
             in
             { rule = r; ex = ctx.make_exec r; flipped })
@@ -322,16 +312,14 @@ let precompile_comp pc =
                 | Ast.Pos _ -> Plan.prepare ~delta:i pr.ex
                 | Ast.Neg _ | Ast.Cmp _ -> ())
               pr.rule.Ast.body;
-            List.iter (fun (i, _, fex) -> Plan.prepare ~delta:i fex) pr.flipped)
+            List.iter (fun (i, fex) -> Plan.prepare ~delta:i fex) pr.flipped)
           prs)
       prs_by_shard
 
 let flipped_for pr i =
-  let rec go = function
-    | [] -> invalid_arg "Incremental: missing flipped plan"
-    | (j, fr, fex) :: rest -> if j = i then (fr, fex) else go rest
-  in
-  go pr.flipped
+  match List.assoc_opt i pr.flipped with
+  | Some fex -> fex
+  | None -> invalid_arg "Incremental: missing flipped plan"
 
 (* ---- counting maintenance helpers ------------------------------- *)
 
@@ -611,7 +599,7 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
   end;
   counts_of
 
-(* ---- per-component maintenance (DRed phases A/B/C) -------------- *)
+(* ---- per-component maintenance (DRed phases A/B/C, counting) ---- *)
 
 (* Shared intra-component fan-out machinery, one per update: the crew
    ([Shard_crew.run] serializes concurrent component tasks internally
@@ -625,6 +613,11 @@ type shard_ctx = {
   nshards : int;
   shard_rings : Obs.Ring.t array;  (* length [nshards]; slot 0 unused *)
 }
+
+(* A round fans out over [k] shards only with at least [shard_gate * k]
+   driving tuples; below that the crew round-trip costs more than it
+   buys. *)
+let shard_gate = 4
 
 let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepared_comp) =
   let anal = ctx.anal in
@@ -700,14 +693,54 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
     let prs = prs_by_shard.(0) in
     let input_changed = input_changed_of (List.map (fun pr -> pr.rule) prs) in
     let work = ref 0 in
-    let keep_new (r : Ast.rule) =
-      let rel = head_rel r in
-      fun tup -> not (Relation.mem rel tup)
+    let sharded =
+      match shard_ctx with
+      | Some sc when sc.nshards > 1 && Array.length prs_by_shard = sc.nshards -> Some sc
+      | Some _ | None -> None
+    in
+    let card_of = function Some r -> Relation.cardinality r | None -> 0 in
+    let literal_sum f =
+      List.fold_left
+        (fun acc pr -> List.fold_left (fun acc lit -> acc + f lit) acc pr.rule.Ast.body)
+        0 prs
+    in
+    let round_size round =
+      Hashtbl.fold (fun _ r acc -> acc + Relation.cardinality r) round 0
+    in
+    (* One maintenance round — DRed's and counting's alike. Unsharded
+       (no crew, or fewer than [shard_gate * k] driving tuples) the
+       round enumerates once over [prs] into [direct]. Sharded, shard
+       job [s] enumerates through its own plan set with Plan's
+       [?shard:(s, k)] filter on the round's delta, into a private
+       sink (only shared state is read; job [s] writes only sink [s]);
+       the coordinator then runs each sink's merge in shard order
+       0..k-1 behind the crew barrier, so the insertion order of every
+       relation and delta is a pure function of the derivations —
+       deterministic run to run. *)
+    let fanout_round ~size ~direct ~private_sink enumerate =
+      match sharded with
+      | Some sc when size >= shard_gate * sc.nshards ->
+        let k = sc.nshards in
+        let sinks = Array.init k (fun _ -> private_sink ()) in
+        let works = Array.make k 0 in
+        let job s =
+          let ring_s = if s = 0 then ring else sc.shard_rings.(s) in
+          let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
+          let w = ref 0 in
+          enumerate ~sprs:prs_by_shard.(s) ~shard:(Some (s, k)) ~work:w (fst sinks.(s));
+          works.(s) <- !w;
+          if Obs.Ring.enabled ring_s then
+            Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
+        in
+        Parallel.Shard_crew.run sc.crew job;
+        Array.iter (fun w -> work := !work + w) works;
+        Array.iter (fun (_, merge) -> merge ()) sinks
+      | Some _ | None -> enumerate ~sprs:prs ~shard:None ~work direct
     in
     (* ---- Phase B: rederivation over the new state ----
-       Shared by both drivers; serial either way — after overdeletion
-       the phase is empty for insert-only batches, and its fixpoint
-       mutates [overdeleted] mid-enumeration. *)
+       Serial either way: after overdeletion the phase is empty for
+       insert-only batches, and its fixpoint mutates [overdeleted]
+       mid-enumeration. *)
     let rederive overdeleted =
       phase_begin ();
       let changed = ref true in
@@ -736,359 +769,101 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
       done;
       phase_end Obs.Event.dred_rederive
     in
-    let run_phases_serial () =
-      (* ---- Phase A: overdeletion against the old state ---- *)
-      phase_begin ();
-      let overdeleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-      let overdelete (r : Ast.rule) tup =
-        let pred = r.Ast.head.Ast.pred in
-        let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-        if Relation.remove rel tup then begin
-          record_remove d pred ~arity:(head_arity r) tup;
-          ignore (Relation.add (delta_rel overdeleted pred ~arity:(head_arity r)) tup)
-        end
+    (* ---- Phases A and C: one DRed phase, run twice ----
+       Round 0 enumerates every rule against the external delta
+       [trigger] names for each body literal (a negated literal
+       through its flipped-positive plan); the in-component cascade
+       then re-enumerates against the tuples the previous round staged
+       until a round stages nothing. [stage] applies one derivation to
+       its head relation and says whether the store changed; [keep] is
+       the read-only pre-filter that drops derivations [stage] would
+       ignore. Every exec is {!Plan.exec_rule_deferred}: staging
+       mutates state the enumeration reads — the head relation probed
+       by recursive rules, and the net-delta overlay [old_view]
+       iterates — so derivations apply only after each walk.
+
+       Unsharded, each rule's derivations are staged as its walk ends,
+       so later rules of the same round already see them (through
+       [trigger] too: overdeleted component tuples land in
+       [d.removed]). Sharded, staging waits for the merge; derivations
+       the unsharded walk found through tuples staged mid-round
+       reappear as next-round delta hits, so the fixpoint is the same
+       and only the work counts differ. *)
+    let dred_phase ~view ~trigger ~keep ~stage =
+      let next = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
+      let stage_next (r : Ast.rule) tup =
+        let pred = r.Ast.head.Ast.pred and arity = head_arity r in
+        if stage (Database.relation ctx.db pred ~arity) pred ~arity tup then
+          ignore (Relation.add (delta_rel !next pred ~arity) tup)
       in
-      (* round 0: external triggers. All staging callbacks here and in
-         phases B/C mutate state the enumeration is reading — the head
-         relation probed by recursive rules, and the net-delta overlay
-         [old_view] iterates — so every exec goes through
-         {!Plan.exec_rule_deferred}: derive first against frozen state,
-         apply after the walk. The deferral does not change the old
-         view: overdeletion removes from the live relation and records
-         into [d.removed], which cancel out under the overlay. *)
-      let round = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
-      let stage_round (r : Ast.rule) tup =
-        let pred = r.Ast.head.Ast.pred in
-        let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-        if Relation.mem rel tup then begin
-          (* not yet overdeleted this phase *)
-          overdelete r tup;
-          ignore (Relation.add (delta_rel !round pred ~arity:(head_arity r)) tup)
-        end
+      let buffered () =
+        let acc = ref [] in
+        ( (fun r tup -> acc := (r, tup) :: !acc),
+          fun () -> List.iter (fun (r, tup) -> stage_next r tup) (List.rev !acc) )
       in
-      List.iter
-        (fun pr ->
-          let r = pr.rule in
-          List.iteri
-            (fun i lit ->
-              match lit with
-              | Ast.Pos a when nonempty d.removed a.Ast.pred ->
-                Plan.exec_rule_deferred ~view:ctx.old_view
-                  ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                  ~work
-                  ~keep:(Relation.mem (head_rel r))
-                  ~on_derived:(stage_round r) pr.ex
-              | Ast.Neg a when nonempty d.added a.Ast.pred ->
-                let fr, fex = flipped_for pr i in
-                Plan.exec_rule_deferred ~view:ctx.old_view
-                  ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                  ~work
-                  ~keep:(Relation.mem (head_rel fr))
-                  ~on_derived:(stage_round fr) fex
-              | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-            r.Ast.body)
-        prs;
-      (* cascade within the component *)
-      while Hashtbl.length !round > 0 do
-        let prev = !round in
-        round := Hashtbl.create 4;
-        List.iter
-          (fun pr ->
-            let r = pr.rule in
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                  match Hashtbl.find_opt prev a.Ast.pred with
-                  | Some delta when Relation.cardinality delta > 0 ->
-                    Plan.exec_rule_deferred ~view:ctx.old_view ~delta:(i, delta) ~work
-                      ~keep:(Relation.mem (head_rel r))
-                      ~on_derived:(stage_round r) pr.ex
-                  | Some _ | None -> ())
-                | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-              r.Ast.body)
-          prs;
-        (* tuples staged this round that were already overdeleted in a
-           previous round were filtered by [stage_round]'s mem check *)
-        ()
-      done;
-      phase_end Obs.Event.dred_delete;
-      rederive overdeleted;
-      (* ---- Phase C: insertion against the new state ---- *)
-      phase_begin ();
-      let roundc = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
-      let stage_add (r : Ast.rule) tup =
-        let pred = r.Ast.head.Ast.pred in
-        let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-        if Relation.add rel tup then begin
-          record_add d pred ~arity:(head_arity r) tup;
-          ignore (Relation.add (delta_rel !roundc pred ~arity:(head_arity r)) tup)
-        end
+      let round ~size delta_of =
+        fanout_round ~size ~direct:stage_next ~private_sink:buffered
+          (fun ~sprs ~shard ~work emit ->
+            List.iter
+              (fun pr ->
+                List.iteri
+                  (fun i lit ->
+                    match delta_of lit with
+                    | Some delta when Relation.cardinality delta > 0 ->
+                      let ex =
+                        match lit with
+                        | Ast.Neg _ -> flipped_for pr i
+                        | Ast.Pos _ | Ast.Cmp _ -> pr.ex
+                      in
+                      Plan.exec_rule_deferred ~view ~delta:(i, delta) ?shard ~work
+                        ~keep:(keep (head_rel pr.rule))
+                        ~on_derived:(emit pr.rule) ex
+                    | Some _ | None -> ())
+                  pr.rule.Ast.body)
+              sprs)
       in
-      List.iter
-        (fun pr ->
-          let r = pr.rule in
-          List.iteri
-            (fun i lit ->
-              match lit with
-              | Ast.Pos a
-                when (not (Hashtbl.mem comp_preds a.Ast.pred))
-                     && nonempty d.added a.Ast.pred ->
-                Plan.exec_rule_deferred ~view:ctx.new_view
-                  ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                  ~work ~keep:(keep_new r) ~on_derived:(stage_add r) pr.ex
-              | Ast.Neg a when nonempty d.removed a.Ast.pred ->
-                let fr, fex = flipped_for pr i in
-                Plan.exec_rule_deferred ~view:ctx.new_view
-                  ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                  ~work
-                  ~keep:(keep_new fr)
-                  ~on_derived:(stage_add fr) fex
-              | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-            r.Ast.body)
-        prs;
-      while Hashtbl.length !roundc > 0 do
-        let prev = !roundc in
-        roundc := Hashtbl.create 4;
-        List.iter
-          (fun pr ->
-            let r = pr.rule in
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                  match Hashtbl.find_opt prev a.Ast.pred with
-                  | Some delta when Relation.cardinality delta > 0 ->
-                    Plan.exec_rule_deferred ~view:ctx.new_view ~delta:(i, delta) ~work
-                      ~keep:(keep_new r) ~on_derived:(stage_add r) pr.ex
-                  | Some _ | None -> ())
-                | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-              r.Ast.body)
-          prs
-      done;
-      phase_end Obs.Event.dred_insert
+      round ~size:(literal_sum (fun lit -> card_of (trigger lit))) trigger;
+      while Hashtbl.length !next > 0 do
+        let prev = !next in
+        next := Hashtbl.create 4;
+        round ~size:(round_size prev) (function
+          | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred ->
+            Hashtbl.find_opt prev a.Ast.pred
+          | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None)
+      done
     in
-    (* ---- sharded phase drivers ----
-       Each phase round fans out into [nshards] enumerations over
-       frozen state: round 0 partitions the base deltas with Plan's
-       [?shard] filter, later rounds read their own slice of the
-       previous round's {!Relation.Sharded} delta. Shard job [s]
-       writes only its private candidate buffer ((component, shard)
-       ownership); the coordinator merges the buffers in shard order
-       0..k-1 behind the crew barrier, so the insertion order of every
-       relation and delta is a pure function of the derivations —
-       deterministic run to run. Duplicates across shards (or that a
-       serial walk's staging would have suppressed mid-round) are
-       dropped by the merge's mem/add checks; derivations a serial
-       walk found through tuples staged mid-round reappear here as
-       next-round delta hits, so the fixpoint is unchanged — only the
-       work counts can differ. *)
-    let run_phases_sharded sc =
-      let k = sc.nshards in
-      let card_of tbl pred =
-        match Hashtbl.find_opt tbl pred with
-        | Some r -> Relation.cardinality r
-        | None -> 0
-      in
-      (* below this many driving tuples a round stays on the caller:
-         the crew round-trip costs more than it buys *)
-      let gate = 4 * k in
-      let fanout ~par enumerate =
-        let bufs = Array.make k [] in
-        let works = Array.make k 0 in
-        let job s =
-          let ring_s = if s = 0 then ring else sc.shard_rings.(s) in
-          let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
-          let w = ref 0 in
-          let acc = ref [] in
-          let emit r tup = acc := (r, tup) :: !acc in
-          enumerate ~shard:s ~sprs:prs_by_shard.(s) ~emit ~work:w;
-          bufs.(s) <- List.rev !acc;
-          works.(s) <- !w;
-          if Obs.Ring.enabled ring_s then
-            Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
-        in
-        if par then Parallel.Shard_crew.run sc.crew job
-        else
-          for s = 0 to k - 1 do
-            job s
-          done;
-        Array.iter (fun w -> work := !work + w) works;
-        bufs
-      in
-      let sdelta tbl pred ~arity =
-        match Hashtbl.find_opt tbl pred with
-        | Some s -> s
-        | None ->
-          let s = Relation.Sharded.create ~arity ~shards:k in
-          Hashtbl.add tbl pred s;
-          s
-      in
-      (* ---- Phase A ---- *)
+    let run_phases_dred () =
       phase_begin ();
       let overdeleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-      let snext = ref (Hashtbl.create 4 : (string, Relation.Sharded.t) Hashtbl.t) in
-      let staged = ref 0 in
-      let merge_delete bufs =
-        staged := 0;
-        Array.iter
-          (List.iter (fun ((r : Ast.rule), tup) ->
-               let pred = r.Ast.head.Ast.pred in
-               let arity = head_arity r in
-               let rel = Database.relation ctx.db pred ~arity in
-               if Relation.mem rel tup then begin
-                 ignore (Relation.remove rel tup);
-                 record_remove d pred ~arity tup;
-                 ignore (Relation.add (delta_rel overdeleted pred ~arity) tup);
-                 ignore (Relation.Sharded.add (sdelta !snext pred ~arity) tup);
-                 incr staged
-               end))
-          bufs
-      in
-      let size0 =
-        List.fold_left
-          (fun acc pr ->
-            List.fold_left
-              (fun acc lit ->
-                match lit with
-                | Ast.Pos a -> acc + card_of d.removed a.Ast.pred
-                | Ast.Neg a -> acc + card_of d.added a.Ast.pred
-                | Ast.Cmp _ -> acc)
-              acc pr.rule.Ast.body)
-          0 prs
-      in
-      merge_delete
-        (fanout ~par:(size0 >= gate) (fun ~shard ~sprs ~emit ~work ->
-             List.iter
-               (fun pr ->
-                 let r = pr.rule in
-                 List.iteri
-                   (fun i lit ->
-                     match lit with
-                     | Ast.Pos a when nonempty d.removed a.Ast.pred ->
-                       Plan.exec_rule_deferred ~view:ctx.old_view
-                         ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                         ~shard:(shard, k) ~work
-                         ~keep:(Relation.mem (head_rel r))
-                         ~on_derived:(emit r) pr.ex
-                     | Ast.Neg a when nonempty d.added a.Ast.pred ->
-                       let fr, fex = flipped_for pr i in
-                       Plan.exec_rule_deferred ~view:ctx.old_view
-                         ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                         ~shard:(shard, k) ~work
-                         ~keep:(Relation.mem (head_rel fr))
-                         ~on_derived:(emit fr) fex
-                     | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                   r.Ast.body)
-               sprs));
-      while !staged > 0 do
-        let prev = !snext in
-        let par = !staged >= gate in
-        snext := Hashtbl.create 4;
-        merge_delete
-          (fanout ~par (fun ~shard ~sprs ~emit ~work ->
-               List.iter
-                 (fun pr ->
-                   let r = pr.rule in
-                   List.iteri
-                     (fun i lit ->
-                       match lit with
-                       | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                         match Hashtbl.find_opt prev a.Ast.pred with
-                         | Some sd ->
-                           let slice = Relation.Sharded.shard sd shard in
-                           if Relation.cardinality slice > 0 then
-                             Plan.exec_rule_deferred ~view:ctx.old_view
-                               ~delta:(i, slice) ~work
-                               ~keep:(Relation.mem (head_rel r))
-                               ~on_derived:(emit r) pr.ex
-                         | None -> ())
-                       | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                     r.Ast.body)
-                 sprs))
-      done;
+      dred_phase ~view:ctx.old_view
+        ~trigger:(function
+          | Ast.Pos a -> Hashtbl.find_opt d.removed a.Ast.pred
+          | Ast.Neg a -> Hashtbl.find_opt d.added a.Ast.pred
+          | Ast.Cmp _ -> None)
+        ~keep:Relation.mem
+        ~stage:(fun rel pred ~arity tup ->
+          Relation.remove rel tup
+          && begin
+            record_remove d pred ~arity tup;
+            ignore (Relation.add (delta_rel overdeleted pred ~arity) tup);
+            true
+          end);
       phase_end Obs.Event.dred_delete;
       rederive overdeleted;
-      (* ---- Phase C ---- *)
       phase_begin ();
-      let snextc = ref (Hashtbl.create 4 : (string, Relation.Sharded.t) Hashtbl.t) in
-      let merge_insert bufs =
-        staged := 0;
-        Array.iter
-          (List.iter (fun ((r : Ast.rule), tup) ->
-               let pred = r.Ast.head.Ast.pred in
-               let arity = head_arity r in
-               let rel = Database.relation ctx.db pred ~arity in
-               if Relation.add rel tup then begin
-                 record_add d pred ~arity tup;
-                 ignore (Relation.Sharded.add (sdelta !snextc pred ~arity) tup);
-                 incr staged
-               end))
-          bufs
-      in
-      let sizec =
-        List.fold_left
-          (fun acc pr ->
-            List.fold_left
-              (fun acc lit ->
-                match lit with
-                | Ast.Pos a when not (Hashtbl.mem comp_preds a.Ast.pred) ->
-                  acc + card_of d.added a.Ast.pred
-                | Ast.Neg a -> acc + card_of d.removed a.Ast.pred
-                | Ast.Pos _ | Ast.Cmp _ -> acc)
-              acc pr.rule.Ast.body)
-          0 prs
-      in
-      merge_insert
-        (fanout ~par:(sizec >= gate) (fun ~shard ~sprs ~emit ~work ->
-             List.iter
-               (fun pr ->
-                 let r = pr.rule in
-                 List.iteri
-                   (fun i lit ->
-                     match lit with
-                     | Ast.Pos a
-                       when (not (Hashtbl.mem comp_preds a.Ast.pred))
-                            && nonempty d.added a.Ast.pred ->
-                       Plan.exec_rule_deferred ~view:ctx.new_view
-                         ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                         ~shard:(shard, k) ~work ~keep:(keep_new r)
-                         ~on_derived:(emit r) pr.ex
-                     | Ast.Neg a when nonempty d.removed a.Ast.pred ->
-                       let fr, fex = flipped_for pr i in
-                       Plan.exec_rule_deferred ~view:ctx.new_view
-                         ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                         ~shard:(shard, k) ~work
-                         ~keep:(keep_new fr)
-                         ~on_derived:(emit fr) fex
-                     | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                   r.Ast.body)
-               sprs));
-      while !staged > 0 do
-        let prev = !snextc in
-        let par = !staged >= gate in
-        snextc := Hashtbl.create 4;
-        merge_insert
-          (fanout ~par (fun ~shard ~sprs ~emit ~work ->
-               List.iter
-                 (fun pr ->
-                   let r = pr.rule in
-                   List.iteri
-                     (fun i lit ->
-                       match lit with
-                       | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                         match Hashtbl.find_opt prev a.Ast.pred with
-                         | Some sd ->
-                           let slice = Relation.Sharded.shard sd shard in
-                           if Relation.cardinality slice > 0 then
-                             Plan.exec_rule_deferred ~view:ctx.new_view
-                               ~delta:(i, slice) ~work ~keep:(keep_new r)
-                               ~on_derived:(emit r) pr.ex
-                         | None -> ())
-                       | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                     r.Ast.body)
-                 sprs))
-      done;
+      dred_phase ~view:ctx.new_view
+        ~trigger:(function
+          | Ast.Pos a when not (Hashtbl.mem comp_preds a.Ast.pred) ->
+            Hashtbl.find_opt d.added a.Ast.pred
+          | Ast.Neg a -> Hashtbl.find_opt d.removed a.Ast.pred
+          | Ast.Pos _ | Ast.Cmp _ -> None)
+        ~keep:(fun rel tup -> not (Relation.mem rel tup))
+        ~stage:(fun rel pred ~arity tup ->
+          Relation.add rel tup
+          && begin
+            record_add d pred ~arity tup;
+            true
+          end);
       phase_end Obs.Event.dred_insert
     in
     (* ---- counting maintenance (derivation counts + B/F search) ----
@@ -1137,19 +912,19 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
        derivations never enter [low]: it may undercount (costing a
        probe), never overcount (which would be unsound).
 
-       With a shard context ([sharded]), propagation rounds — round 0,
-       death cascades, birth rounds — fan out across the shard crew
-       exactly like the DRed phase rounds: shard job [s] enumerates
-       only its hash slice of the round's delta through its own plan
-       set, accumulating signed count deltas and suspect touches in
-       private buffers; the coordinator merges the buffers into the
+       Propagation rounds — round 0, death cascades, birth rounds — go
+       through [fanout_round], the helper DRed's phase rounds use: on
+       the crew, shard job [s] enumerates only its hash slice of the
+       round's delta through its own plan set, accumulating signed
+       count deltas and suspect touches in private buffers
+       ([count_round]'s sink); the coordinator merges the buffers into the
        global scratch in shard order 0..k-1 behind the crew barrier
        (counts add; newborn levels take the minimum, [low] keeps the
        contributions attaining it) and settles serially, so store,
        counts and index end up exactly as the serial walk's. The
        backward search stays serial: its worklist is the small suspect
        cone, already cut down by the O(1) level check. *)
-    let run_phases_counting sharded =
+    let run_phases_counting () =
       let rec_rule (r : Ast.rule) =
         List.exists
           (function
@@ -1174,7 +949,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
           (fun _ rel acc -> acc || Relation.counts_synced rel = None)
           heads false
       in
-      let nshards = match sharded with Some shc -> shc.nshards | None -> 1 in
+      let nshards = match sharded with Some sc -> sc.nshards | None -> 1 in
       let counts_of =
         if stale then recount_comp ctx pc prs ~shards:nshards ~view:ctx.old_view ~work
         else begin
@@ -1411,34 +1186,15 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
               r)
           src
       in
-      (* run one propagation round's enumerations: serially into the
-         global scratch, or fanned out over the shard crew when the
-         driving delta is worth the crew round-trip. Shard jobs only
-         read shared state (store views, canonical cells, morgue) and
-         fill private buffers, merged here behind the barrier. *)
-      let fanout_round ~size enumerate =
-        match sharded with
-        | Some shc when size >= 4 * shc.nshards ->
-          let k = shc.nshards in
-          let scs = Array.init k (fun _ -> Hashtbl.create 4) in
-          let decs = Array.init k (fun _ -> Hashtbl.create 4) in
-          let works = Array.make k 0 in
-          let job s =
-            let ring_s = if s = 0 then ring else shc.shard_rings.(s) in
-            let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
-            let w = ref 0 in
-            enumerate ~sprs:prs_by_shard.(s) ~sct:scs.(s) ~dec:decs.(s)
-              ~shard:(Some (s, k)) ~work:w;
-            works.(s) <- !w;
-            if Obs.Ring.enabled ring_s then
-              Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
-          in
-          Parallel.Shard_crew.run shc.crew job;
-          Array.iter (fun w -> work := !work + w) works;
-          Array.iter (fun s_sc -> merge_scratch sc s_sc) scs;
-          Array.iter (fun s_dec -> merge_dec dec_touched s_dec) decs
-        | Some _ | None ->
-          enumerate ~sprs:prs ~sct:sc ~dec:dec_touched ~shard:None ~work
+      (* a propagation round's sink: scratch counts plus decrement
+         touches — the globals when unsharded, fresh per-shard tables
+         merged in shard order otherwise *)
+      let count_round ~size enumerate =
+        fanout_round ~size ~direct:(sc, dec_touched)
+          ~private_sink:(fun () ->
+            let ((s_sc, s_dec) as sink) = (Hashtbl.create 4, Hashtbl.create 4) in
+            (sink, fun () -> merge_scratch sc s_sc; merge_dec dec_touched s_dec))
+          enumerate
       in
       (* one in-component cascade round: the delta (this round's deaths
          or births, already applied to the store) drives every rule at
@@ -1447,7 +1203,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
          its only in-component atom, so the witness is the delta tuple
          itself; its level is read at emission time. Only scratch
          counts are written, so the non-deferred executor is safe. *)
-      let enumerate_in_comp ~sign ~round ~pre ~sprs ~sct ~dec ~shard ~work =
+      let enumerate_in_comp ~sign ~round ~pre ~sprs ~shard ~work (sct, dec) =
         List.iter
           (fun pr ->
             let r = pr.rule in
@@ -1478,16 +1234,13 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
               r.Ast.body)
           sprs
       in
-      let round_size round =
-        Hashtbl.fold (fun _ r acc -> acc + Relation.cardinality r) round 0
-      in
       let cascade_deaths deaths0 =
         phase_begin ();
         let pending = ref deaths0 in
         while tbl_live !pending do
           let round = !pending in
           let pre = overlay_view ~plus:round ~minus:no_overlay ctx.new_view in
-          fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:(-1) ~round ~pre);
+          count_round ~size:(round_size round) (enumerate_in_comp ~sign:(-1) ~round ~pre);
           pending := settle ()
         done;
         phase_end Obs.Event.cnt_forward
@@ -1917,7 +1670,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
       let rec birth_rounds round =
         if tbl_live round then begin
           let pre = overlay_view ~plus:no_overlay ~minus:round ctx.new_view in
-          fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:1 ~round ~pre);
+          count_round ~size:(round_size round) (enumerate_in_comp ~sign:1 ~round ~pre);
           (* increments only: settle can queue further births but can
              produce no deaths *)
           ignore (settle ());
@@ -1934,25 +1687,14 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
            "externals first" serialization. *)
         phase_begin ();
         let size0 =
-          let card_of tbl pred =
-            match Hashtbl.find_opt tbl pred with
-            | Some r -> Relation.cardinality r
-            | None -> 0
-          in
-          List.fold_left
-            (fun acc pr ->
-              List.fold_left
-                (fun acc lit ->
-                  match lit with
-                  | Ast.Pos a when not (Hashtbl.mem comp_preds a.Ast.pred) ->
-                    acc + card_of d.added a.Ast.pred + card_of d.removed a.Ast.pred
-                  | Ast.Neg a ->
-                    acc + card_of d.added a.Ast.pred + card_of d.removed a.Ast.pred
-                  | Ast.Pos _ | Ast.Cmp _ -> acc)
-                acc pr.rule.Ast.body)
-            0 prs
+          literal_sum (function
+            | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> 0
+            | Ast.Pos a | Ast.Neg a ->
+              card_of (Hashtbl.find_opt d.added a.Ast.pred)
+              + card_of (Hashtbl.find_opt d.removed a.Ast.pred)
+            | Ast.Cmp _ -> 0)
         in
-        let enumerate_round0 ~sprs ~sct ~dec ~shard ~work =
+        let enumerate_round0 ~sprs ~shard ~work (sct, dec) =
           List.iter
             (fun pr ->
               let r = pr.rule in
@@ -1993,7 +1735,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
                   | Ast.Neg a ->
                     if nonempty d.added a.Ast.pred || nonempty d.removed a.Ast.pred
                     then begin
-                      let _, fex = flipped_for pr i in
+                      let fex = flipped_for pr i in
                       if nonempty d.added a.Ast.pred then
                         Plan.exec_rule ?witness ?shard ~view:ctx.new_view
                           ~late_view:ctx.old_view
@@ -2011,7 +1753,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
                 r.Ast.body)
             sprs
         in
-        fanout_round ~size:size0 enumerate_round0;
+        count_round ~size:size0 enumerate_round0;
         let deaths0 = settle () in
         phase_end Obs.Event.cnt_propagate;
         cascade_deaths deaths0;
@@ -2048,18 +1790,8 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
     (match ctx.strategy.(comp) with
     (* nothing upstream changed ⇒ no deltas can reach this component;
        skipping also avoids rebuilding stale counts nobody needs yet *)
-    | Analyze.Counting ->
-      if input_changed then
-        run_phases_counting
-          (match shard_ctx with
-          | Some sc when sc.nshards > 1 && Array.length prs_by_shard = sc.nshards ->
-            Some sc
-          | Some _ | None -> None)
-    | Analyze.Dred -> (
-      match shard_ctx with
-      | Some sc when sc.nshards > 1 && Array.length prs_by_shard = sc.nshards ->
-        run_phases_sharded sc
-      | Some _ | None -> run_phases_serial ()));
+    | Analyze.Counting -> if input_changed then run_phases_counting ()
+    | Analyze.Dred -> run_phases_dred ());
     { comp; work = !work; output_changed = members_changed (); input_changed }
 
 (* Every mutation a component's maintenance performs — store writes,
@@ -2155,7 +1887,7 @@ let with_sanitize ctx prepared f =
 
 let setup ?(shards = 1) ?sanitize ?on_warn ~engine ~maint db program ~additions
     ~deletions =
-  let ctx = make_ctx ~shards ?sanitize ?on_warn ~engine ~maint db program in
+  let ctx = make_ctx ?sanitize ?on_warn ~engine ~maint db program in
   List.iter (check_edb ctx.anal) additions;
   List.iter (check_edb ctx.anal) deletions;
   apply_base_updates ctx ~additions ~deletions;
@@ -2289,7 +2021,7 @@ let verify_ownership ctx prepared =
                     let rs = union_reads rs (Plan.exec_reads pr.ex) in
                     let rs =
                       List.fold_left
-                        (fun rs (_, _, fex) -> union_reads rs (Plan.exec_reads fex))
+                        (fun rs (_, fex) -> union_reads rs (Plan.exec_reads fex))
                         rs pr.flipped
                     in
                     let h = pr.rule.Ast.head.Ast.pred in

@@ -161,16 +161,19 @@ val apply_parallel :
     structure may differ with hashing order). All plans are compiled
     and delta tables created serially before the first task runs.
 
-    [shards] (default 1) additionally splits each component's DRed
-    delete and insert rounds into per-shard enumerations over a
-    {!Parallel.Shard_crew}: round inputs are partitioned by the
-    {!Relation.shard_of_tuple} hash of the delta tuple's key column,
-    each shard derives into a private buffer against frozen state, and
-    the coordinator merges buffers in shard order 0..k-1 behind the
-    crew barrier — so results, including iteration order, stay
-    deterministic and equal to the serial walk's (again up to [work]
-    counts: cross-shard duplicate derivations are dropped at the merge
-    rather than at staging time).
+    [shards] (default 1) additionally splits each component's
+    maintenance rounds — DRed's delete and insert rounds, counting's
+    propagation rounds — into per-shard enumerations over a
+    {!Parallel.Shard_crew} whenever a round has at least [4 * shards]
+    driving tuples (smaller rounds run unsharded): round inputs are
+    partitioned by the {!Relation.shard_of_tuple} hash of the delta
+    tuple's key column, each shard derives into a private buffer
+    against frozen state, and the coordinator merges buffers in shard
+    order 0..k-1 behind the crew barrier — so results are
+    deterministic run to run, iteration order included, and hold the
+    serial walk's database and changes (again up to [work] counts:
+    cross-shard duplicate derivations are dropped at the merge rather
+    than at staging time).
 
     When the conservative wavefront holds fewer than [serial_threshold]
     (default {!serial_task_threshold}) active component tasks, the

@@ -55,9 +55,9 @@ end)
    consistent with: any mutation outside the counting engine bumps the
    version, so stale counts are detected and rebuilt instead of
    silently trusted. The cells are partitioned into [nshards] tables
-   by the same FNV hash on key column 0 that [Sharded] uses for
-   tuples, so sharded counting rounds can route cell traffic without
-   cross-shard contention; with [nshards = 1] the routing is a
+   by the FNV hash on key column 0 that Plan's [?shard] filter uses
+   for delta tuples, so sharded counting rounds can route cell traffic
+   without cross-shard contention; with [nshards = 1] the routing is a
    constant 0. *)
 
 type count_cell = {
@@ -276,8 +276,8 @@ let shard_of_tuple ~col ~shards (tup : tuple) =
    All mutation of counts is single-owner, like the store itself. The
    cells tables are keyed by copies of the tuples (a caller's scratch
    array must not alias a key), mirroring [add]. Routing between the
-   shard tables is [shard_of_tuple ~col:0], the same pure hash the
-   [Sharded] tuple stores use; iteration walks shards 0..k-1 so the
+   shard tables is [shard_of_tuple ~col:0], the same pure hash Plan's
+   [?shard] delta filter uses; iteration walks shards 0..k-1 so the
    order is canonical regardless of how cells were inserted. *)
 
 let counts_create ?(shards = 1) () =
@@ -391,52 +391,6 @@ let choose_probe_col t ~bound =
   go 0
 
 type relation = t
-
-let base_create = create
-let base_add = add
-let base_mem = mem
-let base_iter = iter
-let base_cardinality = cardinality
-
-module Sharded = struct
-  (* A relation partitioned into [shards] sub-stores by FNV hash of
-     the key column. Used for the per-shard round-delta buffers of
-     sharded maintenance: shard task [s] reads and writes only
-     [shard t s], and the coordinator merges shards in index order
-     0..k-1 — canonical, hence run-to-run deterministic. *)
-  type t = { col : int; nshards : int; subs : relation array }
-
-  let create ~arity ~shards =
-    if shards < 1 then invalid_arg "Relation.Sharded.create: shards < 1";
-    {
-      col = 0;
-      nshards = shards;
-      subs = Array.init shards (fun _ -> base_create ~arity);
-    }
-
-  let shards (t : t) = t.nshards
-
-  let shard (t : t) s =
-    if s < 0 || s >= t.nshards then invalid_arg "Relation.Sharded.shard: bad index";
-    t.subs.(s)
-
-  let owner t tup = shard_of_tuple ~col:t.col ~shards:t.nshards tup
-
-  let add t tup = base_add t.subs.(owner t tup) tup
-
-  let mem t tup = base_mem t.subs.(owner t tup) tup
-
-  let cardinality t =
-    Array.fold_left (fun acc r -> acc + base_cardinality r) 0 t.subs
-
-  (* canonical iteration order: shard 0..k-1 *)
-  let iter f t = Array.iter (fun r -> base_iter f r) t.subs
-
-  let merge_into t dst =
-    let fresh = ref 0 in
-    iter (fun tup -> if base_add dst tup then incr fresh) t;
-    !fresh
-end
 
 module Sanitize = struct
   exception Violation = Sanitize_violation

@@ -97,7 +97,7 @@ val choose_probe_col : t -> bound:(int -> bool) -> int option
     instead of trusting stale counts. {!clear} drops the side table.
 
     Cells are partitioned into [shards] tables by {!shard_of_tuple} on
-    key column 0 — the same pure hash the {!Sharded} tuple stores use —
+    key column 0 — the same pure hash {!Plan.run}'s [?shard] filter uses —
     so sharded counting rounds route cell traffic shard-locally;
     {!counts_iter} walks shards in index order 0..k-1, keeping
     iteration canonical regardless of insertion interleaving. *)
@@ -203,40 +203,4 @@ module Sanitize : sig
   val with_writer : string -> (unit -> 'a) -> 'a
   (** Run [f] with the current domain's writer tag set; restores the
       previous tag on exit (scopes nest). *)
-end
-
-module Sharded : sig
-  (** A relation partitioned into [shards] sub-stores by
-      {!shard_of_tuple} on column 0. Shard task [s] owns exactly
-      [shard t s]; the coordinator merges shards in index order
-      0..k-1, so iteration and merge order are canonical and
-      run-to-run deterministic. *)
-
-  type t
-
-  val create : arity:int -> shards:int -> t
-  (** @raise Invalid_argument when [shards < 1]. *)
-
-  val shards : t -> int
-
-  val shard : t -> int -> relation
-  (** The [s]th sub-store (a plain relation usable as a semi-naive
-      delta). @raise Invalid_argument on an out-of-range index. *)
-
-  val owner : t -> tuple -> int
-  (** The shard index {!add} would route this tuple to. *)
-
-  val add : t -> tuple -> bool
-  (** Route by key hash into the owning sub-store; [true] iff new. *)
-
-  val mem : t -> tuple -> bool
-
-  val cardinality : t -> int
-
-  val iter : (tuple -> unit) -> t -> unit
-  (** Canonical order: every tuple of shard 0, then shard 1, … *)
-
-  val merge_into : t -> relation -> int
-  (** Add every tuple into [dst] in canonical shard order; returns the
-      number of tuples that were new to [dst]. *)
 end

@@ -2,9 +2,8 @@
     low coordination overhead.
 
     Where {!Simulator.Engine} charges virtual time, this executor runs
-    the schedule for real — and unlike the original big-lock design
-    (retained as {!Legacy} for benchmarking), it keeps the hot paths
-    off any global lock:
+    the schedule for real — and unlike the seed's big-lock design, it
+    keeps the hot paths off any global lock:
 
     - task status is an atomic state machine
       (Inactive → Active → Running → Done via CAS), so activation

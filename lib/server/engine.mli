@@ -7,8 +7,10 @@
     {e publishes} epoch [N+1]: an immutable snapshot (frozen
     {!Datalog.Relation} copies) that all queries are served from. Only
     relations the commit actually changed are re-copied — unchanged
-    predicates share the previous epoch's frozen view, so snapshot
-    cost is proportional to the change, not the database.
+    predicates share the previous epoch's frozen view — but each
+    changed relation is copied whole, so snapshot cost is proportional
+    to the total size of the changed relations, not to the number of
+    changed tuples.
 
     {b Snapshot discipline.} Queries never touch the live database,
     so a background commit may mutate it freely while readers on the

@@ -868,44 +868,6 @@ let parallel_rejects_interpreter () =
 
 (* ---------- Sharded maintenance (apply_parallel ~shards) ---------- *)
 
-let sharded_relation_units () =
-  let s = Datalog.Relation.Sharded.create ~arity:2 ~shards:4 in
-  check_int "shard count" 4 (Datalog.Relation.Sharded.shards s);
-  let tuples = List.init 32 (fun i -> [| i * 7; i |]) in
-  List.iter (fun t -> check_bool "fresh add" true (Datalog.Relation.Sharded.add s t)) tuples;
-  List.iter
-    (fun t -> check_bool "dup add" false (Datalog.Relation.Sharded.add s t))
-    tuples;
-  check_int "cardinality" 32 (Datalog.Relation.Sharded.cardinality s);
-  (* routing: every tuple sits in exactly the sub-store its key hashes to *)
-  List.iter
-    (fun t ->
-      let owner = Datalog.Relation.shard_of_tuple ~col:0 ~shards:4 t in
-      check_bool "routed" true
-        (Datalog.Relation.mem (Datalog.Relation.Sharded.shard s owner) t);
-      for o = 0 to 3 do
-        if o <> owner then
-          check_bool "not elsewhere" false
-            (Datalog.Relation.mem (Datalog.Relation.Sharded.shard s o) t)
-      done;
-      check_bool "mem routes" true (Datalog.Relation.Sharded.mem s t))
-    tuples;
-  (* canonical iteration = shard 0..k-1, each in insertion order; a
-     second identically built store iterates identically *)
-  let order t =
-    let acc = ref [] in
-    Datalog.Relation.Sharded.iter (fun tup -> acc := Array.to_list tup :: !acc) t;
-    List.rev !acc
-  in
-  let s' = Datalog.Relation.Sharded.create ~arity:2 ~shards:4 in
-  List.iter (fun t -> ignore (Datalog.Relation.Sharded.add s' t)) tuples;
-  check_bool "deterministic canonical order" true (order s = order s');
-  (* merge lands in canonical order and reports only new tuples *)
-  let dst = Datalog.Relation.create ~arity:2 in
-  ignore (Datalog.Relation.add dst [| 0; 0 |]);
-  check_int "merged new" 31 (Datalog.Relation.Sharded.merge_into s dst);
-  check_int "merged cardinality" 32 (Datalog.Relation.cardinality dst)
-
 (* The sharding acceptance property: maintenance fanned out over any
    shards x domains grid restores exactly the serial database, net
    changes, and activation flags. [serial_threshold:0] forces the
@@ -967,10 +929,14 @@ let sharded_differential_qcheck =
       done;
       !ok)
 
-(* The merge is deterministic, not merely set-equal: two runs of the
-   same sharded update produce every relation in the same insertion
-   (iteration) order, because the coordinator merges the per-shard
-   buffers in shard order behind the crew barrier. *)
+(* A sharded round really reaches the crew, and its merge is
+   deterministic, not merely set-equal. Under both engines at shards:4,
+   an update that merges three 4-cycles into one SCC passes the fan-out
+   gate (shard spans recorded), two runs of it produce every relation
+   in the same insertion (iteration) order — the coordinator merges the
+   per-shard sinks in shard order behind the crew barrier — and the
+   database equals serial [apply]'s. A one-edge update stays below the
+   gate: no shard span, same database as serial. *)
 let sharded_merge_deterministic () =
   let program =
     parse
@@ -982,26 +948,63 @@ let sharded_merge_deterministic () =
         Printf.sprintf {|edge("n%d","n%d")|} (i mod 12) ((i * 5 + 1) mod 12))
     |> List.sort_uniq compare
   in
-  let run () =
+  let load () =
     let db = Datalog.Database.create () in
     List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) base;
     let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
-    ignore
-      (Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Compiled ~shards:4
-         ~domains:2 ~serial_threshold:0 db program
-         ~additions:[ atom {|edge("n3","n0")|}; atom {|edge("n12","n1")|} ]
-         ~deletions:[ atom {|edge("n0","n1")|} ]);
+    db
+  in
+  let dump db =
     List.map
       (fun pred ->
         match Datalog.Database.find db pred with
         | None -> (pred, [])
-        | Some rel ->
-          (pred, List.map Array.to_list (Datalog.Relation.to_list rel)))
+        | Some rel -> (pred, List.map Array.to_list (Datalog.Relation.to_list rel)))
       [ "edge"; "path"; "reach" ]
   in
-  let a = run () in
-  let b = run () in
-  check_bool "identical iteration order across runs" true (a = b)
+  let big =
+    ( List.map atom
+        [ {|edge("n3","n0")|}; {|edge("n12","n1")|}; {|edge("n7","n2")|};
+          {|edge("n11","n3")|} ],
+      [ atom {|edge("n0","n1")|} ] )
+  in
+  let small = ([ atom {|edge("n12","n1")|} ], []) in
+  let domains = 2 and shards = 4 in
+  let run ~maint (additions, deletions) =
+    (* crew worker [s] >= 1 records on ring [domains + s - 1] *)
+    let obs = Obs.Trace.create ~domains:(domains + shards - 1) () in
+    let db = load () in
+    ignore
+      (Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Compiled ~maint ~shards
+         ~domains ~serial_threshold:0 ~obs db program ~additions ~deletions);
+    let spans = ref 0 in
+    for w = 0 to domains + shards - 2 do
+      Obs.Ring.iter (Obs.Trace.ring obs w) (fun ~kind ~t_ns:_ ~a:_ ~b:_ ->
+          if kind = Obs.Event.shard then incr spans)
+    done;
+    (db, !spans)
+  in
+  List.iter
+    (fun (name, maint) ->
+      let serial (additions, deletions) =
+        let db = load () in
+        ignore
+          (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled ~maint db program
+             ~additions ~deletions);
+        db
+      in
+      let a, spans = run ~maint big in
+      let b, _ = run ~maint big in
+      check_bool (name ^ ": fanned-out rounds reach the crew") true (spans > 0);
+      check_bool (name ^ ": identical iteration order across runs") true
+        (dump a = dump b);
+      check_bool (name ^ ": sharded equals serial") true
+        (Datalog.Eval.databases_agree (serial big) a = Ok ());
+      let c, spans = run ~maint small in
+      check_int (name ^ ": one-edge update stays below the gate") 0 spans;
+      check_bool (name ^ ": small sharded equals serial") true
+        (Datalog.Eval.databases_agree (serial small) c = Ok ()))
+    [ ("dred", Datalog.Incremental.Dred); ("counting", Datalog.Incremental.Counting) ]
 
 (* The task-count fallback: a small update on [domains > 1] skips the
    executor entirely (no task spans recorded), unless the threshold is
@@ -2262,7 +2265,6 @@ let () =
         @ qsuite [ parallel_differential_qcheck ] );
       ( "sharded-maintenance",
         [
-          test `Quick "sharded relation routing and merge" sharded_relation_units;
           test `Quick "merge order deterministic across runs"
             sharded_merge_deterministic;
           test `Quick "small updates fall back to the serial walk"
