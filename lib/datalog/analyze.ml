@@ -114,7 +114,8 @@ let rule_effects ~engine (r : Ast.rule) =
   | Plan.Interpreted -> (Plan.body_reads r, false)
   | Plan.Compiled -> (
     (* scratch symbol table, zero cardinality oracle: the plan's join
-       order is irrelevant here, only its Match/Reject steps are read *)
+       order is irrelevant here, only the predicates of its steps are
+       read *)
     try
       let plan = Plan.compile ~symbols:(Symbol.create ()) ~card:(fun _ -> 0) r in
       (Plan.reads plan, true)

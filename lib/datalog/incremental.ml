@@ -118,6 +118,46 @@ type ctx = {
   new_view : Matcher.view;
 }
 
+(* [base] with the [plus] tuples restored and the [minus] tuples
+   hidden, per predicate. Invariants: [plus] is disjoint from [base]
+   (its tuples were removed from it) and [minus] is contained in
+   [base] (added to it, still present), so membership is plus-hit,
+   else minus-miss, else base. The global old view is this overlay
+   over the net deltas; counting's cascade rounds lay one over a
+   round's delta — a death round with [plus] = this round's deaths
+   (the pre-round state), a birth round with [minus] = its births. *)
+let overlay_view ~plus ~minus (base : Matcher.view) =
+  let find tbl p =
+    match Hashtbl.find_opt tbl p with
+    | Some r when Relation.cardinality r > 0 -> Some r
+    | Some _ | None -> None
+  in
+  {
+    Matcher.mem =
+      (fun p tup ->
+        (match find plus p with Some r -> Relation.mem r tup | None -> false)
+        || ((match find minus p with
+            | Some r -> not (Relation.mem r tup)
+            | None -> true)
+           && base.Matcher.mem p tup));
+    iter_matching =
+      (fun p ~col ~value f ->
+        (match find minus p with
+        | Some m ->
+          base.Matcher.iter_matching p ~col ~value (fun t ->
+              if not (Relation.mem m t) then f t)
+        | None -> base.Matcher.iter_matching p ~col ~value f);
+        match find plus p with
+        | Some r -> Relation.iter_matching r ~col ~value f
+        | None -> ());
+    iter =
+      (fun p f ->
+        (match find minus p with
+        | Some m -> base.Matcher.iter p (fun t -> if not (Relation.mem m t) then f t)
+        | None -> base.Matcher.iter p f);
+        match find plus p with Some r -> Relation.iter f r | None -> ());
+  }
+
 let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db program =
   Aggregate.validate program;
   let anal = Stratify.analyze program in
@@ -134,53 +174,10 @@ let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db pro
      old = (new \ added) ∪ removed. The net-delta invariant maintained
      by [record_add]/[record_remove] (a tuple sits in at most one table,
      cancellation on re-add) makes this identity hold at every point
-     during processing, so no O(database) snapshot copy is needed. *)
-  let old_view =
-    let added p = Hashtbl.find_opt d.added p in
-    let removed p = Hashtbl.find_opt d.removed p in
-    let non_empty = function
-      | Some r when Relation.cardinality r > 0 -> Some r
-      | Some _ | None -> None
-    in
-    {
-      Matcher.mem =
-        (fun p tup ->
-          let in_removed =
-            match removed p with Some r -> Relation.mem r tup | None -> false
-          in
-          in_removed
-          ||
-          let in_added =
-            match added p with Some r -> Relation.mem r tup | None -> false
-          in
-          (not in_added)
-          && (match Database.find db p with
-             | Some r -> Relation.mem r tup
-             | None -> false));
-      iter_matching =
-        (fun p ~col ~value f ->
-          (match Database.find db p with
-          | Some r -> (
-            match non_empty (added p) with
-            | Some a ->
-              Relation.iter_matching r ~col ~value (fun t ->
-                  if not (Relation.mem a t) then f t)
-            | None -> Relation.iter_matching r ~col ~value f)
-          | None -> ());
-          match non_empty (removed p) with
-          | Some r -> Relation.iter_matching r ~col ~value f
-          | None -> ());
-      iter =
-        (fun p f ->
-          (match Database.find db p with
-          | Some r -> (
-            match non_empty (added p) with
-            | Some a -> Relation.iter (fun t -> if not (Relation.mem a t) then f t) r
-            | None -> Relation.iter f r)
-          | None -> ());
-          match removed p with Some r -> Relation.iter f r | None -> ());
-    }
-  in
+     during processing — [removed] is disjoint from the database and
+     [added] contained in it, [overlay_view]'s precondition — so no
+     O(database) snapshot copy is needed. *)
+  let old_view = overlay_view ~plus:d.removed ~minus:d.added new_view in
   { db; program; anal; engine; strategy; sanitize; on_warn; symbols; card;
     make_exec; d; old_view; new_view }
 
@@ -223,13 +220,32 @@ let prepare_deltas ctx =
    rules with one shared executor each (so every (rule, delta position)
    plan is compiled at most once per update), plus the flipped-positive
    variant of each negated literal — shared by phases A and C, where
-   the original code rebuilt it per trigger. *)
+   the original code rebuilt it per trigger — and, for the recursive
+   rules of a counting component, the backward probe's goal rule. *)
 
 type prepared_rule = {
   rule : Ast.rule;
   ex : Plan.exec;
   flipped : (int * Plan.exec) list;  (* keyed by negated body position *)
+  goal : Plan.exec option;  (* [goal_rule], run with delta position 0 *)
 }
+
+(* The goal rule of a backward probe for recursive rule [h :- body]:
+   [h :- h, body]. Run with the prepended head atom as its delta
+   literal over a one-tuple seed holding the suspect, its [Delta] step
+   binds the head variables and checks head constants and repeated
+   variables, and the body joins in the plan's own selectivity order —
+   every other atom probing with the suspect's values bound. *)
+let goal_rule (r : Ast.rule) = { r with Ast.body = Ast.Pos r.Ast.head :: r.Ast.body }
+
+(* a rule is recursive within its component iff some positive body
+   atom names a component predicate *)
+let recursive_in comp_preds (r : Ast.rule) =
+  List.exists
+    (function
+      | Ast.Pos a -> Hashtbl.mem comp_preds a.Ast.pred
+      | Ast.Neg _ | Ast.Cmp _ -> false)
+    r.Ast.body
 
 (* [Rules] holds one independently compiled plan set per shard task
    (length 1 when unsharded): plans carry non-reentrant scratch state,
@@ -273,7 +289,9 @@ let prepare_comp ?(shards = 1) ctx comp =
     | [] -> Extensional
     | [ r ] when Ast.rule_is_aggregate r -> Aggregate_rule r
     | rules ->
-      let prepare_set () =
+      (* the backward search is serial: shard 0's set carries the goals *)
+      let counting = ctx.strategy.(comp) = Analyze.Counting in
+      let prepare_set ~goals =
         List.map
           (fun (r : Ast.rule) ->
             let flipped =
@@ -283,20 +301,25 @@ let prepare_comp ?(shards = 1) ctx comp =
                      | Ast.Neg _ -> Some (i, ctx.make_exec (flip_negation r i))
                      | Ast.Pos _ | Ast.Cmp _ -> None)
             in
-            { rule = r; ex = ctx.make_exec r; flipped })
+            let goal =
+              if goals && recursive_in comp_preds r then
+                Some (ctx.make_exec (goal_rule r))
+              else None
+            in
+            { rule = r; ex = ctx.make_exec r; flipped; goal })
           rules
       in
-      Rules (Array.init (max 1 shards) (fun _ -> prepare_set ()))
+      Rules (Array.init (max 1 shards) (fun s -> prepare_set ~goals:(counting && s = 0)))
   in
   { comp; members; comp_preds; tag; body }
 
 (* Compile every plan a component's phases could reach: the base plan
    (phase B), a delta plan per positive body position (phases A/C and
-   the in-component cascades), and a delta plan per flipped negation —
-   for every shard's plan set. Compilation interns constants into the
-   shared symbol table and consults relation cardinalities, so the
-   parallel driver runs this serially, before any worker domain
-   exists. *)
+   the in-component cascades) and a delta plan per flipped negation —
+   for every shard's plan set — plus the goal plans of the serial
+   backward search. Compilation interns constants into the shared
+   symbol table and consults relation cardinalities, so the parallel
+   driver runs this serially, before any worker domain exists. *)
 let precompile_comp pc =
   match pc.body with
   | Extensional | Aggregate_rule _ -> ()
@@ -312,7 +335,8 @@ let precompile_comp pc =
                 | Ast.Pos _ -> Plan.prepare ~delta:i pr.ex
                 | Ast.Neg _ | Ast.Cmp _ -> ())
               pr.rule.Ast.body;
-            List.iter (fun (i, fex) -> Plan.prepare ~delta:i fex) pr.flipped)
+            List.iter (fun (i, fex) -> Plan.prepare ~delta:i fex) pr.flipped;
+            Option.iter (Plan.prepare ~delta:0) pr.goal)
           prs)
       prs_by_shard
 
@@ -322,46 +346,6 @@ let flipped_for pr i =
   | None -> invalid_arg "Incremental: missing flipped plan"
 
 (* ---- counting maintenance helpers ------------------------------- *)
-
-(* [base] with the [plus] tuples restored and the [minus] tuples
-   hidden, per predicate — the same overlay shape as the global old
-   view, but over one cascade round's delta: a death round enumerates
-   with [plus] = this round's deaths (the pre-round state), a birth
-   round with [minus] = this round's births. Invariants: [plus] is
-   disjoint from [base] (its tuples were just removed) and [minus] is
-   contained in [base] (just added / still present), so membership is
-   plus-hit, else minus-miss, else base. *)
-let overlay_view ~plus ~minus (base : Matcher.view) =
-  let find tbl p =
-    match Hashtbl.find_opt tbl p with
-    | Some r when Relation.cardinality r > 0 -> Some r
-    | Some _ | None -> None
-  in
-  {
-    Matcher.mem =
-      (fun p tup ->
-        (match find plus p with Some r -> Relation.mem r tup | None -> false)
-        || ((match find minus p with
-            | Some r -> not (Relation.mem r tup)
-            | None -> true)
-           && base.Matcher.mem p tup));
-    iter_matching =
-      (fun p ~col ~value f ->
-        (match find minus p with
-        | Some m ->
-          base.Matcher.iter_matching p ~col ~value (fun t ->
-              if not (Relation.mem m t) then f t)
-        | None -> base.Matcher.iter_matching p ~col ~value f);
-        match find plus p with
-        | Some r -> Relation.iter_matching r ~col ~value f
-        | None -> ());
-    iter =
-      (fun p f ->
-        (match find minus p with
-        | Some m -> base.Matcher.iter p (fun t -> if not (Relation.mem m t) then f t)
-        | None -> base.Matcher.iter p f);
-        match find plus p with Some r -> Relation.iter f r | None -> ());
-  }
 
 (* The single in-component positive body atom of a linear recursive
    rule, as (original position, predicate); [None] for exit rules and
@@ -409,13 +393,7 @@ let linear_pos comp_preds (r : Ast.rule) =
    them keyed by head predicate; the caller stamps them synced once
    store and counts agree. *)
 let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
-  let is_rec (r : Ast.rule) =
-    List.exists
-      (function
-        | Ast.Pos a -> Hashtbl.mem pc.comp_preds a.Ast.pred
-        | Ast.Neg _ | Ast.Cmp _ -> false)
-      r.Ast.body
-  in
+  let is_rec = recursive_in pc.comp_preds in
   let counts_of : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun pr ->
@@ -925,13 +903,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
        backward search stays serial: its worklist is the small suspect
        cone, already cut down by the O(1) level check. *)
     let run_phases_counting () =
-      let rec_rule (r : Ast.rule) =
-        List.exists
-          (function
-            | Ast.Pos a -> Hashtbl.mem comp_preds a.Ast.pred
-            | Ast.Neg _ | Ast.Cmp _ -> false)
-          r.Ast.body
-      in
+      let rec_rule = recursive_in comp_preds in
       let recursive = List.exists (fun pr -> rec_rule pr.rule) prs in
       let heads : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       List.iter
@@ -1248,10 +1220,11 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
       (* Backward phase: of the tuples that lost a derivation and
          survived without exit support, decide which still have a
          well-founded derivation. Worklist search: a suspect is hidden,
-         then checked goal-directedly — its constants substituted into
-         each recursive rule's body, looking for one satisfying match
-         in the visible state (exit-supported survivors, upstream
-         relations, peers not under suspicion). Exit rules can't prove
+         then checked goal-directedly — each recursive rule's goal
+         plan ([goal_rule]) runs seeded with the suspect, looking for
+         one satisfying match in the visible state (exit-supported
+         survivors, upstream relations, peers not under suspicion).
+         The first match ends the search. Exit rules can't prove
          a suspect: exits = 0 means no exit derivation exists, and
          hiding suspects (all same-component) doesn't change exit-rule
          bodies. The suspect pool is every present exits = 0 tuple in
@@ -1287,59 +1260,44 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
          proven or exit-supported, neither of which the removal can
          kill), one backward round per batch suffices — see the drain
          site for the cascade argument. *)
-      let head_env (r : Ast.rule) tup =
-        let env = ref [] and ok = ref true in
-        List.iteri
-          (fun i t ->
-            if !ok then
-              match t with
-              | Ast.Var v -> (
-                match List.assoc_opt v !env with
-                | Some x -> if x <> tup.(i) then ok := false
-                | None -> env := (v, tup.(i)) :: !env)
-              | Ast.Const c ->
-                if Symbol.const_of ctx.symbols tup.(i) <> c then ok := false
-              | Ast.Agg _ -> ok := false)
-          r.Ast.head.Ast.args;
-        if !ok then Some !env else None
-      in
-      let rec_prs = List.filter (fun pr -> rec_rule pr.rule) prs in
-      (* goal-directed body order, fixed once per component: positives
-         ascending by live cardinality so the probe hits the small
-         relation first (edge before path, in transitive-closure
-         terms); negations and comparisons last — range restriction
-         binds their variables once every positive has run. The head
-         bindings seed the matcher's environment as interned codes, so
-         bound atoms resolve by index probe or O(1) membership. *)
-      let probe_prs =
-        let sorted pr =
-          let pos, rest =
-            List.partition (function Ast.Pos _ -> true | _ -> false) pr.rule.Ast.body
-          in
-          let key = function
-            | Ast.Pos a -> ctx.card a.Ast.pred
-            | Ast.Neg _ | Ast.Cmp _ -> max_int
-          in
-          List.stable_sort (fun x y -> compare (key x) (key y)) pos @ rest
+      (* the one-tuple relation a goal plan's delta literal or a
+         condemnation's consumer plan ranges over: one per arity,
+         refilled per use (each walk over it ends before the next) *)
+      let seeds : (int, Relation.t) Hashtbl.t = Hashtbl.create 2 in
+      let seed tup =
+        let arity = Array.length tup in
+        let r =
+          match Hashtbl.find_opt seeds arity with
+          | Some r ->
+            Relation.clear r;
+            r
+          | None ->
+            let r = Relation.create ~arity in
+            Hashtbl.add seeds arity r;
+            r
         in
-        List.map (fun pr -> (pr, sorted pr)) rec_prs
+        ignore (Relation.add r tup);
+        r
+      in
+      let goals =
+        List.filter_map
+          (fun pr -> Option.map (fun g -> (pr.rule.Ast.head.Ast.pred, g)) pr.goal)
+          prs
       in
       let exception Proved in
       let provable ~hide pred tup =
+        let s = seed tup in
         List.exists
-          (fun (pr, body) ->
-            pr.rule.Ast.head.Ast.pred = pred
+          (fun (hpred, goal) ->
+            hpred = pred
             &&
-            match head_env pr.rule tup with
-            | None -> false
-            | Some env -> (
-              try
-                Matcher.eval_body ~symbols:ctx.symbols ~view:hide ~env ~work
-                  ~on_env:(fun _ -> raise Proved)
-                  body;
-                false
-              with Proved -> true))
-          probe_prs
+            try
+              Plan.exec_rule ~view:hide ~delta:(0, s) ~work
+                ~on_derived:(fun _ -> raise Proved)
+                goal;
+              false
+            with Proved -> true)
+          goals
       in
       let o1_hits = ref 0 and full_probes = ref 0 in
       (* linear recursive rules with their in-component atom position:
@@ -1447,8 +1405,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
               lvl < max_int
               && Relation.add (delta_rel condemned pred ~arity:(Array.length tup)) tup
             then begin
-              let singleton = Relation.create ~arity:(Array.length tup) in
-              ignore (Relation.add singleton tup);
+              let singleton = seed tup in
               List.iter
                 (fun (pr, i, p) ->
                   if p = pred then
@@ -1994,8 +1951,8 @@ let serial_task_threshold = 8
    only upstream ones — checked against the effect sets of the plans
    that will actually run, instead of trusted by construction. Read
    sets come from {!Plan.exec_reads} over the precompiled plan stores
-   (base, per-delta, flipped-negation variants), write sets from the
-   rule heads; {!Analyze.check_ownership} decides against the
+   (base, per-delta, flipped-negation and goal variants), write sets
+   from the rule heads; {!Analyze.check_ownership} decides against the
    condensation. Aggregate components have no plans; their single rule
    is checked from its body. *)
 let verify_ownership ctx prepared =
@@ -2021,8 +1978,9 @@ let verify_ownership ctx prepared =
                     let rs = union_reads rs (Plan.exec_reads pr.ex) in
                     let rs =
                       List.fold_left
-                        (fun rs (_, fex) -> union_reads rs (Plan.exec_reads fex))
-                        rs pr.flipped
+                        (fun rs fex -> union_reads rs (Plan.exec_reads fex))
+                        rs
+                        (Option.to_list pr.goal @ List.map snd pr.flipped)
                     in
                     let h = pr.rule.Ast.head.Ast.pred in
                     ((if List.mem h ws then ws else h :: ws), rs))

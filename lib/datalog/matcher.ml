@@ -71,9 +71,9 @@ let compare_ok ~symbols op a b =
 let match_positive ~symbols ~view ~work env (a : Ast.atom) k =
   (* fully ground under [env]? then the atom is a point lookup, not an
      enumeration — [mem] answers in O(1) where an index bucket would be
-     scanned (and, below, materialized) in bucket-size time. Goal-
-     directed probes from the counting engine hit this path on every
-     membership check, so it is hot there. *)
+     scanned (and, below, materialized) in bucket-size time. Plan's
+     lookup step does the same, so the two engines examine the same
+     tuples on such atoms. *)
   let rec all_bound acc = function
     | [] -> Some (List.rev acc)
     | t :: rest -> (
@@ -113,11 +113,10 @@ let match_positive ~symbols ~view ~work env (a : Ast.atom) k =
       List.iter try_tuple !matches
     | None -> view.iter a.Ast.pred try_tuple)
 
-let eval_body ~symbols ~view ?delta ?(env = []) ~work ~on_env (body : Ast.literal list)
-    =
-  let body = Array.of_list body in
+let eval_rule ~symbols ~view ?delta ~work ~on_derived (rule : Ast.rule) =
+  let body = Array.of_list rule.Ast.body in
   let rec step i env =
-    if i >= Array.length body then on_env env
+    if i >= Array.length body then on_derived (ground_atom ~symbols env rule.Ast.head)
     else begin
       match body.(i) with
       | Ast.Pos a -> (
@@ -150,13 +149,9 @@ let eval_body ~symbols ~view ?delta ?(env = []) ~work ~on_env (body : Ast.litera
   | Some (di, _) -> (
     match body.(di) with
     | Ast.Pos _ -> ()
-    | Ast.Neg _ | Ast.Cmp _ -> invalid_arg "Matcher.eval_rule: delta literal must be positive")
+    | Ast.Neg _ | Ast.Cmp _ -> invalid_arg "Matcher: delta literal must be positive")
   | None -> ());
-  step 0 env
-
-let eval_rule ~symbols ~view ?delta ~work ~on_derived (rule : Ast.rule) =
-  eval_body ~symbols ~view ?delta ~work rule.Ast.body
-    ~on_env:(fun env -> on_derived (ground_atom ~symbols env rule.Ast.head))
+  step 0 []
 
 let register db program =
   let reg (a : Ast.atom) =

@@ -1,10 +1,16 @@
-(** Rule-body matching: the join machinery shared by from-scratch
-    evaluation ({!Eval}) and incremental maintenance ({!Incremental}).
+(** Database views and the interpretive rule matcher.
 
     A {!view} abstracts "which database state a literal is matched
-    against" — the live database, a frozen pre-update snapshot, or a
-    delta relation — so DRed's overdeletion phase can read the old state
-    while insertion reads the new one. *)
+    against" — the live database, the pre-update state as a delta
+    overlay, or a maintenance round's restricted state — so DRed's
+    overdeletion phase can read the old state while insertion reads the
+    new one. Every evaluation path reads through views; the join itself
+    runs on {!Plan}'s compiled plans.
+
+    {!eval_rule} is the interpretive matcher: an environment-passing
+    join kept only as the reference oracle compiled plans are
+    differentially tested against ({!Plan}'s [Interpreted] engine and
+    {!Eval.run_naive}). *)
 
 type view = {
   mem : string -> Relation.tuple -> bool;
@@ -17,28 +23,6 @@ type view = {
 val view_of_db : Database.t -> view
 (** Live view: reads through to the database as it changes. *)
 
-val resolve_term :
-  symbols:Symbol.t -> (string * int) list -> Ast.term -> int option
-(** Constant interning / variable lookup under an environment.
-    @raise Invalid_argument on an aggregate term. *)
-
-val eval_body :
-  symbols:Symbol.t ->
-  view:view ->
-  ?delta:int * Relation.t ->
-  ?env:(string * int) list ->
-  work:int ref ->
-  on_env:((string * int) list -> unit) ->
-  Ast.literal list ->
-  unit
-(** Enumerate all variable bindings satisfying the body; the aggregate
-    evaluator consumes raw environments instead of head tuples. [env]
-    (default empty) seeds the environment — goal-directed probes bind
-    head variables to interned codes up front, which both restricts
-    the search and keeps constants out of the string path. An atom
-    fully ground under the environment is answered by a [mem] lookup
-    rather than an index-bucket scan. *)
-
 val eval_rule :
   symbols:Symbol.t ->
   view:view ->
@@ -49,10 +33,12 @@ val eval_rule :
   unit
 (** Enumerate all derivations of [rule]'s head. With [delta = (i, d)],
     body literal [i] (which must be positive) ranges over [d] instead of
-    the view — the semi-naive restriction. Negated literals and
-    comparisons are evaluated under the view once their variables are
-    bound (range restriction guarantees they are). [work] counts tuples
-    examined, the per-task cost proxy used by {!To_trace}.
+    the view — the semi-naive restriction. Literals run in textual
+    order. Negated literals and comparisons are evaluated under the
+    view once their variables are bound (range restriction guarantees
+    they are); a positive atom already ground is one [mem] lookup.
+    [work] counts tuples examined, the per-task cost proxy used by
+    {!To_trace}.
     [on_derived] may see duplicate tuples; callers dedupe via
     [Relation.add]'s return value. *)
 

@@ -2,8 +2,8 @@
    variables mapped to integer slots, body literals reordered by a
    static selectivity heuristic — and then executed many times over a
    flat reusable [int array] environment with allocation-free index
-   probes. The interpretive matcher ({!Matcher.eval_rule}) survives as
-   the reference oracle; {!executor} picks between the two. *)
+   probes. The interpretive matcher in {!Matcher} survives as the
+   reference oracle; {!executor} picks between the two. *)
 
 type src = Sconst of int | Sslot of int
 
@@ -46,6 +46,16 @@ type step =
   | Delta of { arity : int; ops : arg_op array; orig : int }
       (* the semi-naive literal: ranges over the delta relation passed
          to {!run} instead of the view *)
+  | Lookup of {
+      pred : string;
+      args : src array;
+      scratch : int array;
+      late : bool;
+      orig : int;
+    }
+      (* positive atom, all arguments bound at this step: membership
+         must hold — one [mem] instead of walking an index bucket for a
+         tuple already known in full *)
   | Reject of { pred : string; args : src array; scratch : int array; late : bool }
       (* negated atom, all arguments bound: membership must fail *)
   | Filter of { op : Ast.cmp; a : src; b : src }
@@ -100,23 +110,6 @@ let compile ?delta ~symbols ~card (rule : Ast.rule) =
   (* original body position [i] > delta position ⇒ the literal reads
      the late view under split-view execution *)
   let is_late i = match delta with Some di -> i > di | None -> false in
-  let compile_pos ~late ~orig (a : Ast.atom) =
-    (* probe on the first argument resolvable before this literal binds
-       anything new — same column the interpreter would pick *)
-    let probe =
-      let rec go col = function
-        | [] -> Scan
-        | t :: rest -> (
-          match term_src slots symbols t with
-          | Some s -> Probe (col, s)
-          | None -> go (col + 1) rest)
-      in
-      go 0 a.Ast.args
-    in
-    let skip_col = match probe with Probe (col, _) -> col | Scan -> -1 in
-    let ops = compile_args ~skip_col a.Ast.args in
-    Match { pred = a.Ast.pred; arity = List.length a.Ast.args; probe; ops; late; orig }
-  in
   let ground_srcs (a : Ast.atom) =
     Array.of_list
       (List.map
@@ -133,6 +126,33 @@ let compile ?delta ~symbols ~card (rule : Ast.rule) =
     | Ast.Const _ -> true
     | Ast.Var v -> Hashtbl.mem slots v
     | Ast.Agg _ -> false
+  in
+  let compile_pos ~late ~orig (a : Ast.atom) =
+    (* fully bound already: a point lookup, not a generator *)
+    if List.for_all term_ready a.Ast.args then
+      Lookup
+        { pred = a.Ast.pred;
+          args = ground_srcs a;
+          scratch = Array.make (List.length a.Ast.args) 0;
+          late;
+          orig }
+    else begin
+      (* probe on the first argument resolvable before this literal
+         binds anything new — same column the interpreter would pick *)
+      let probe =
+        let rec go col = function
+          | [] -> Scan
+          | t :: rest -> (
+            match term_src slots symbols t with
+            | Some s -> Probe (col, s)
+            | None -> go (col + 1) rest)
+        in
+        go 0 a.Ast.args
+      in
+      let skip_col = match probe with Probe (col, _) -> col | Scan -> -1 in
+      let ops = compile_args ~skip_col a.Ast.args in
+      Match { pred = a.Ast.pred; arity = List.length a.Ast.args; probe; ops; late; orig }
+    end
   in
   let lit_ready = function
     | Ast.Pos _ -> false (* generators are scheduled by selectivity, not readiness *)
@@ -284,12 +304,21 @@ let run ?delta ?shard ?late_view ?witness ~view ~work ~on_derived p =
   let value = function Sconst c -> c | Sslot s -> Array.unsafe_get env s in
   (* witness extraction: remember the tuple last unified at the body
      position [wpos] and hand it to [wfn] alongside each emission. The
-     stash is the store's own array — valid only inside the callback,
-     copy to retain (same contract as [on_derived]'s buffer). *)
+     stash is the store's own array, or a lookup step's probe key —
+     valid only inside the callback, copy to retain (same contract as
+     [on_derived]'s buffer). *)
   let wpos, wfn =
     match witness with Some (w, f) -> (w, f) | None -> (-1, fun _ -> ())
   in
   let wit = ref [||] in
+  (* membership of a fully bound atom, its key built in [scratch] *)
+  let mem_bound ~late pred args scratch =
+    incr work;
+    for j = 0 to Array.length args - 1 do
+      scratch.(j) <- value (Array.unsafe_get args j)
+    done;
+    (if late then lview else view).Matcher.mem pred scratch
+  in
   let rec exec i =
     if i = nsteps then begin
       let head = p.head in
@@ -340,13 +369,14 @@ let run ?delta ?shard ?late_view ?witness ~view ~work ~on_derived p =
                 exec (i + 1)
               end)
             d)
+      | Lookup { pred; args; scratch; late; orig } ->
+        if mem_bound ~late pred args scratch then begin
+          (* the probe key equals the stored tuple: it is the witness *)
+          if orig = wpos then wit := scratch;
+          exec (i + 1)
+        end
       | Reject { pred; args; scratch; late } ->
-        incr work;
-        for j = 0 to Array.length args - 1 do
-          scratch.(j) <- value (Array.unsafe_get args j)
-        done;
-        let v = if late then lview else view in
-        if not (v.Matcher.mem pred scratch) then exec (i + 1)
+        if not (mem_bound ~late pred args scratch) then exec (i + 1)
       | Filter { op; a; b } ->
         incr work;
         if cmp_ok op (Symbol.compare_codes p.symbols (value a) (value b)) then
@@ -449,8 +479,8 @@ let prepare ?delta e =
    planner bug that probed an unplanned relation would be visible to the
    ownership verifier. The [Delta] step carries no predicate (the delta
    relation is caller-supplied), but every delta-compiled plan is a
-   restriction of the base plan, whose [Match]/[Reject] steps mention
-   every body literal. *)
+   restriction of the base plan, whose [Match]/[Lookup]/[Reject] steps
+   mention every body literal. *)
 
 let add_pred acc p = if List.mem p acc then acc else p :: acc
 
@@ -459,7 +489,8 @@ let reads p =
     Array.fold_left
       (fun acc step ->
         match step with
-        | Match { pred; _ } | Reject { pred; _ } -> add_pred acc pred
+        | Match { pred; _ } | Lookup { pred; _ } | Reject { pred; _ } ->
+          add_pred acc pred
         | Delta _ | Filter _ -> acc)
       [] p.steps
   in

@@ -1,4 +1,8 @@
-(** Rule compilation: the evaluation hot path.
+(** Rule compilation: the one join engine of evaluation and
+    maintenance. {!Eval}'s fixpoints, every {!Incremental} round
+    (DRed and counting alike, including counting's goal-directed
+    backward probes) and {!Aggregate} run rules through compiled plans;
+    the interpreter in {!Matcher} is kept only as the test oracle.
 
     {!compile} turns an {!Ast.rule} into a fixed instruction sequence:
 
@@ -20,7 +24,16 @@
       delta-bound values;
     - index probes go through {!Matcher.view.iter_matching} — no list is
       allocated per probe, and the probed column's check is elided
-      (the index bucket already guarantees it).
+      (the index bucket already guarantees it);
+    - a positive atom whose arguments are all bound when it executes is
+      a lookup step: one {!Matcher.view.mem} on the probe key, like a
+      negation's check with the polarity flipped, instead of walking an
+      index bucket. It is chosen from boundness at compile time. With
+      it a goal rule [h :- h, body], run with the head atom as the
+      delta literal over a one-tuple seed, is a goal-directed probe:
+      the delta step binds the head's variables and checks its
+      constants and repeated variables, and body atoms the seed binds
+      completely cost one lookup each.
 
     Reordering is semantics-preserving: positive conjunction is
     commutative, and filters are only moved to points where all their
@@ -80,8 +93,9 @@ val run :
     engine's well-founded support index stamps levels from. Positions
     survive the selectivity reorder (each step remembers its syntactic
     position), and the delta literal participates like any other. The
-    witness tuple is the store's own array: valid only inside [f], copy
-    to retain. If no body literal has position [i], [f] sees whatever
+    witness tuple is the store's own array (at a lookup step, the probe
+    key, equal to the stored tuple): valid only inside [f], copy to
+    retain. If no body literal has position [i], [f] sees whatever
     was last stashed (initially [[||]]) — callers pass positions of
     positive body atoms only.
     [work] counts tuples and filter checks examined, as the interpreter
@@ -97,8 +111,8 @@ val run :
     {!Eval}, {!Incremental} and {!Aggregate} evaluate rules through an
     {!exec}, which either runs compiled plans (memoized per delta
     position, so fixpoint rounds reuse them) or delegates to the
-    interpretive {!Matcher.eval_rule} — the reference oracle for
-    differential testing. *)
+    interpreter in {!Matcher} — the reference oracle for differential
+    testing. *)
 
 type engine = Compiled | Interpreted
 
@@ -121,8 +135,10 @@ val exec_rule :
   on_derived:(Relation.tuple -> unit) ->
   exec ->
   unit
-(** Same contract as {!Matcher.eval_rule}; [delta = (i, d)] makes body
-    literal [i] range over [d], and [shard] restricts it to one hash
+(** Enumerate all derivations of the rule's head against [view], on
+    either engine ([on_derived] may see duplicates; callers dedupe via
+    {!Relation.add}). [delta = (i, d)] makes body literal [i] range
+    over [d], and [shard] restricts it to one hash
     partition (see {!run}; on the interpretive engine the partition is
     materialized, oracle-only cost). [late_view] and [witness] are the
     split-view and witness-extraction modes of {!run}; the interpretive
@@ -148,10 +164,11 @@ val prepare : ?delta:int -> exec -> unit
     should. *)
 
 val reads : t -> string list
-(** Distinct predicates probed by the plan's [Match] (positive) and
-    [Reject] (negation) steps, sorted. The semi-naive delta step is not
-    included: its relation is caller-supplied, and the corresponding
-    predicate appears as an ordinary read in the base plan. *)
+(** Distinct predicates the plan reads through the view — positive
+    atoms (scans, index probes and lookups) and negated atoms —
+    sorted. The semi-naive delta step is not included: its relation is
+    caller-supplied, and the corresponding predicate appears as an
+    ordinary read in the base plan. *)
 
 val body_reads : Ast.rule -> string list
 (** Distinct predicates of the rule body's positive and negated atoms,

@@ -55,8 +55,8 @@ val cnt_full_probe : kind
     deletion-suspects in one component — [a] = number of suspects
     proven by the O(1) well-founded support index (surviving
     strictly-lower-level supporter, no body re-evaluation), resp.
-    number that needed a full goal-directed {!Matcher.eval_body}
-    probe; [b] = component id. Emitted once per component that ran a
+    number that needed a full goal-directed probe (one compiled goal
+    plan run per recursive rule); [b] = component id. Emitted once per component that ran a
     backward phase. *)
 
 val srv_admit : kind

@@ -755,6 +755,75 @@ let plan_matches_interpreter () =
         (compiled = interpreted && compiled <> []))
     [ 0; 1 ]
 
+(* A positive atom fully bound at its step compiles to a point lookup.
+   On [tri] the base plan keeps textual order, so the last atom is the
+   lookup: derivations, the lookup's witness and its read set must be
+   what a bucket walk would give, and the work count must be the
+   interpreter's (which answers a ground atom by [mem] too) — a bucket
+   walk would count every out-neighbour of [X] instead of one. Each
+   delta position moves the lookup to another atom. *)
+let plan_lookup_step () =
+  let db = Datalog.Database.create () in
+  List.iter
+    (fun s -> ignore (Datalog.Database.add_fact db (atom s)))
+    [
+      {|e("a","b")|}; {|e("b","c")|}; {|e("a","c")|}; {|e("c","d")|};
+      {|e("b","d")|}; {|e("a","d")|}; {|e("d","a")|}; {|f("b","a")|};
+    ];
+  let symbols = Datalog.Database.symbols db in
+  let card = cardinal db in
+  let view = Datalog.Matcher.view_of_db db in
+  let rule = List.hd (parse "tri(X,Y,Z) :- e(X,Y), e(Y,Z), e(X,Z).") in
+  let sorted l = List.sort_uniq compare l in
+  (* the body atom at position [i] matches (X,Y), (Y,Z), (X,Z) *)
+  let project i h =
+    match i with 0 -> [ h.(0); h.(1) ] | 1 -> [ h.(1); h.(2) ] | _ -> [ h.(0); h.(2) ]
+  in
+  let interpreted ?delta () =
+    let acc = ref [] and work = ref 0 in
+    Datalog.Matcher.eval_rule ~symbols ~view ?delta ~work
+      ~on_derived:(fun t -> acc := Array.to_list t :: !acc)
+      rule;
+    (sorted !acc, !work)
+  in
+  let compiled ?delta plan =
+    let heads = ref [] and work = ref 0 in
+    Datalog.Plan.run ?delta ~view ~work
+      ~on_derived:(fun t -> heads := Array.to_list t :: !heads)
+      plan;
+    (* every body position, the lookup's included, hands its witness *)
+    for w = 0 to 2 do
+      let bad = ref 0 in
+      let wit = ref [] in
+      Datalog.Plan.run ?delta ~view ~work:(ref 0)
+        ~witness:(w, fun t -> wit := Array.to_list t)
+        ~on_derived:(fun h -> if !wit <> project w h then incr bad)
+        plan;
+      check_int (Printf.sprintf "witness at position %d" w) 0 !bad
+    done;
+    (sorted !heads, !work)
+  in
+  let base = Datalog.Plan.compile ~symbols ~card rule in
+  let heads, work = compiled base in
+  let oracle, oracle_work = interpreted () in
+  check_bool "triangles found" true (heads <> []);
+  check_bool "base plan derivations equal the interpreter's" true (heads = oracle);
+  check_int "one work unit per lookup, as the interpreter" oracle_work work;
+  Alcotest.(check (list string)) "reads lists e" [ "e" ] (Datalog.Plan.reads base);
+  let e = Option.get (Datalog.Database.find db "e") in
+  List.iter
+    (fun pos ->
+      let plan = Datalog.Plan.compile ~delta:pos ~symbols ~card rule in
+      check_bool
+        (Printf.sprintf "delta position %d derivations equal the interpreter's" pos)
+        true
+        (fst (compiled ~delta:e plan) = fst (interpreted ~delta:(pos, e) ())))
+    [ 0; 1; 2 ];
+  (* a predicate read only through a lookup still lands in the read set *)
+  let only = List.hd (parse "g(X,Y) :- e(X,Y), f(Y,X).") in
+  Alcotest.(check (list string)) "lookup-only predicate read" [ "e"; "f" ]
+    (Datalog.Plan.reads (Datalog.Plan.compile ~symbols ~card only))
+
 (* The satellite acceptance property: randomized programs exercising
    recursion, negation, comparisons and aggregates produce identical
    databases under both engines — after materialization and after each
@@ -1317,6 +1386,106 @@ let counting_unfounded_cycle () =
   check_bool "p(b) gone" false (Datalog.Database.mem_fact cnt (atom {|p("b")|}));
   check_bool "counting agrees with dred" true
     (Datalog.Eval.databases_agree dred cnt = Ok ())
+
+(* Head shapes the random programs never generate: a constant and a
+   repeated variable in a recursive rule's head. The backward probe's
+   goal plan checks both in its seeded delta step. Each program's fixed
+   stream pins the check: deleting the exit fact leaves an unfounded
+   cycle whose suspect would be proven through the other recursive
+   rule's body if the check were skipped — r("j","a") through the "k"
+   rule, q("a","b") through the diagonal rule. Random deletion-heavy
+   streams follow. Backward probes must run (the obs probe counter)
+   and every batch must equal from-scratch evaluation, serially and on
+   2 domains x 2 shards. *)
+let counting_head_shapes () =
+  let programs =
+    [
+      ( "constant head",
+        {|r(X,Y) :- s(X,Y).
+          r("k",Z) :- r("k",Y), e(Y,Z).
+          r(X,Z) :- r(X,Y), f(Y,Z).|},
+        ( [ {|s("j","a")|}; {|f("a","b")|}; {|f("b","a")|}; {|s("k","c")|};
+            {|e("c","a")|} ],
+          [ ([], [ {|s("j","a")|} ]) ] ) );
+      ( "repeated head variable",
+        {|q(X,Y) :- s(X,Y).
+          q(Z,Z) :- q(Y,Y), e(Y,Z).
+          q(X,Z) :- q(X,Y), f(Y,Z).|},
+        ( [ {|s("a","b")|}; {|f("b","c")|}; {|f("c","b")|}; {|s("d","d")|};
+            {|e("d","a")|} ],
+          [ ([], [ {|s("a","b")|} ]) ] ) );
+    ]
+  in
+  let random_stream seed =
+    let rng = Prelude.Rng.create (seed * 7919) in
+    let node () =
+      if Prelude.Rng.int rng 4 = 0 then "k" else Printf.sprintf "n%d" (Prelude.Rng.int rng 4)
+    in
+    let fact () =
+      let p = List.nth [ "s"; "e"; "f" ] (Prelude.Rng.int rng 3) in
+      let a = node () in
+      Printf.sprintf {|%s("%s","%s")|} p a (node ())
+    in
+    let base = List.init 14 (fun _ -> fact ()) |> List.sort_uniq compare in
+    let live = ref base in
+    let batch () =
+      let dels = List.filter (fun _ -> Prelude.Rng.int rng 3 = 0) !live in
+      let adds =
+        List.init (Prelude.Rng.int rng 2) (fun _ -> fact ())
+        |> List.sort_uniq compare
+        |> List.filter (fun f -> not (List.mem f !live))
+      in
+      live := List.filter (fun f -> not (List.mem f dels)) !live @ adds;
+      (adds, dels)
+    in
+    (base, List.init 3 (fun _ -> batch ()))
+  in
+  List.iter
+    (fun (name, src, fixed) ->
+      let program = parse src in
+      let load facts =
+        let db = Datalog.Database.create () in
+        List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) facts;
+        let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
+        db
+      in
+      List.iter
+        (fun (mode, apply) ->
+          let probes = ref 0 in
+          List.iteri
+            (fun i (base, batches) ->
+              let db = load base in
+              ignore (Datalog.Incremental.prime db program);
+              let live = ref base in
+              List.iter
+                (fun (adds, dels) ->
+                  live := List.filter (fun f -> not (List.mem f dels)) !live @ adds;
+                  let obs = Obs.Trace.create ~domains:3 () in
+                  apply ~obs db program ~additions:(List.map atom adds)
+                    ~deletions:(List.map atom dels);
+                  probes :=
+                    !probes + (Obs.Summary.of_trace obs).Obs.Summary.cnt_full_probes;
+                  check_bool
+                    (Printf.sprintf "%s, %s, stream %d: equals from-scratch" name mode i)
+                    true
+                    (Datalog.Eval.databases_agree (load !live) db = Ok ()))
+                batches)
+            (fixed :: List.init 12 (fun seed -> random_stream (seed + 1)));
+          check_bool (Printf.sprintf "%s, %s: backward probes ran" name mode) true
+            (!probes > 0))
+        [
+          ( "serial",
+            fun ~obs db program ~additions ~deletions ->
+              ignore
+                (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting ~obs db
+                   program ~additions ~deletions) );
+          ( "2 domains x 2 shards",
+            fun ~obs db program ~additions ~deletions ->
+              ignore
+                (Datalog.Incremental.apply_parallel ~maint:Datalog.Incremental.Counting
+                   ~domains:2 ~shards:2 ~obs db program ~additions ~deletions) );
+        ])
+    programs
 
 (* The level-index invariant on transitive closure, where the oracle is
    exact: a fresh prime assigns path(x,z) the BFS round of its first
@@ -2258,6 +2427,7 @@ let () =
           test `Quick "incremental self-join on a cycle"
             incr_recursive_self_join_on_cycle;
           test `Quick "compiled plan matches interpreter" plan_matches_interpreter;
+          test `Quick "fully bound atom is a point lookup" plan_lookup_step;
         ]
         @ qsuite [ engine_differential_qcheck ] );
       ( "parallel-maintenance",
@@ -2293,6 +2463,7 @@ let () =
         [
           test `Quick "diamond derivation counts" counting_diamond_counts;
           test `Quick "unfounded cycle removed" counting_unfounded_cycle;
+          test `Quick "constant and repeated-variable heads" counting_head_shapes;
           test `Quick "stale counts rebuilt after DRed interleaving"
             counting_survives_dred_interleaving;
           test `Quick "unsupported configurations rejected"
